@@ -1,12 +1,13 @@
 //! Homomorphism-search benchmarks: the planned, trail-based matcher
-//! against the naive backtracking oracle, on the shapes the chase
-//! actually produces.
+//! ([`ArenaPlan`]) against the naive backtracking oracle, on the shapes
+//! the chase actually produces.
 //!
-//! * `hom_search/appendix_h/{planned,reference}/m=…`: premise searches of
-//!   the Appendix H family's dependencies against the (exponential)
-//!   terminal chase body — the raw search layer, one compiled plan reused
-//!   across every dependency check vs a per-call `HashMap`-backed
-//!   backtrack.
+//! * `hom_search/appendix_h/{planned,reference}/m=…`: first-match premise
+//!   searches of the Appendix H family's dependencies against the
+//!   (exponential) terminal chase body — the raw search layer: compiled
+//!   plans over a pre-loaded arena with one reused frame, each first
+//!   match materialized as a `Subst` witness, vs a per-call
+//!   `HashMap`-backed backtrack.
 //! * `hom_search/chain/{delta,indexed,reference}/n=…`: the non-weakly-
 //!   acyclic budget-exhaustion chain `e(X,Y) -> e(Y,Z)` chased for `n`
 //!   steps. The applicable homomorphism always lives at the newest atom;
@@ -18,8 +19,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eqsql_chase::reference::set_chase_reference;
 use eqsql_chase::{set_chase, set_chase_opts, ChaseConfig, ChaseError, EngineOpts};
-use eqsql_cq::matcher::{bucket_atoms, reference, MatchPlan, Seed, Target};
-use eqsql_cq::{parse_query, Subst};
+use eqsql_cq::matcher::reference;
+use eqsql_cq::{parse_query, ArenaFrame, ArenaPlan, Subst, TermArena};
 use eqsql_gen::appendix_h_instance;
 use std::hint::black_box;
 
@@ -31,16 +32,23 @@ fn bench_appendix_h_search(c: &mut Criterion) {
         let inst = appendix_h_instance(m);
         let terminal = set_chase(&inst.query, &inst.sigma, &cfg).unwrap().query;
         let premises: Vec<&[eqsql_cq::Atom]> = inst.sigma.iter().map(|d| d.lhs()).collect();
-        let plans: Vec<MatchPlan> = premises.iter().map(|p| MatchPlan::new(p)).collect();
-        let buckets = bucket_atoms(&terminal.body);
-        group.bench_with_input(BenchmarkId::new("planned", m), &terminal, |b, t| {
+        let mut arena = TermArena::new();
+        arena.push_atoms(&terminal.body);
+        let plans: Vec<ArenaPlan> =
+            premises.iter().map(|p| ArenaPlan::new(p, &mut arena)).collect();
+        let mut frame = ArenaFrame::new();
+        group.bench_with_input(BenchmarkId::new("planned", m), &arena, |b, arena| {
             b.iter(|| {
-                let target = Target::new(&t.body, &buckets);
                 let mut found = 0usize;
                 for plan in &plans {
-                    if plan.first_match(target, &Seed::Empty).is_some() {
+                    frame.reset(plan.slot_count());
+                    plan.search(arena, &mut frame, &mut |slots| {
+                        let mut witness = Subst::new();
+                        plan.bind_subst(arena, slots, &mut witness);
+                        black_box(witness);
                         found += 1;
-                    }
+                        false
+                    });
                 }
                 black_box(found)
             })

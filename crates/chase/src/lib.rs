@@ -28,8 +28,8 @@
 //! ([`engine`]): a persistent [`index::BodyIndex`] (predicate/arity
 //! buckets, variable-occurrence lists, atom-value fingerprints, per-slot
 //! generation stamps) mutated in place, per-dependency compiled
-//! [`eqsql_cq::matcher::MatchPlan`]s searched first-match over a
-//! trail-based frame with the conclusion-extension check threaded in as a
+//! [`eqsql_cq::ArenaPlan`]s searched first-match over the index's
+//! columnar arena with the conclusion-extension check threaded in as a
 //! pruning predicate, and delta-driven (semi-naive) dependency
 //! scheduling. [`mod@set_chase`], [`sound_chase`] and [`key_based_chase`] are
 //! thin entry points over it; [`EngineOpts`] opts into delta-*seeded*

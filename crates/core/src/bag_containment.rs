@@ -16,8 +16,8 @@
 //! a sound three-valued procedure.
 
 use crate::counterexample::{amplify, lemma_d1_database};
-use eqsql_cq::matcher::{bucket_atoms, MatchPlan, Seed, Target};
-use eqsql_cq::{CqQuery, Predicate, Subst};
+use eqsql_cq::arena::with_scratch;
+use eqsql_cq::{ArenaFrame, ArenaPlan, CqQuery, Predicate, Subst};
 use eqsql_relalg::eval::eval_bag;
 use eqsql_relalg::Schema;
 use std::collections::HashSet;
@@ -91,28 +91,34 @@ pub fn onto_containment_mapping(q1: &CqQuery, q2: &CqQuery) -> Option<Subst> {
     // property — the historical path materialized (and silently capped)
     // the whole homomorphism set first.
     let head_vars: Vec<eqsql_cq::Var> = q2.head.iter().filter_map(eqsql_cq::Term::as_var).collect();
-    let plan = MatchPlan::optimized(&q2.body, &head_vars);
-    let buckets = bucket_atoms(&q1.body);
-    let mut witness: Option<Subst> = None;
-    plan.search(Target::new(&q1.body, &buckets), &Seed::Subst(&seed), &mut |m| {
-        // The head-seeded plan search only emits containment mappings, so
-        // the loop checks nothing but the multiset-cover property; the
-        // full mapping validity is re-checked only by external replays
-        // ([`is_multiset_onto_mapping`]).
-        let image: Vec<_> = q2.body.iter().map(|a| m.apply_atom(a)).collect();
-        let covered = q1.body.iter().all(|atom| {
-            let need = q1.body.iter().filter(|a| *a == atom).count();
-            let have = image.iter().filter(|a| *a == atom).count();
-            have >= need
+    with_scratch(|arena| {
+        arena.push_atoms(&q1.body);
+        let plan = ArenaPlan::optimized(&q2.body, &head_vars, arena);
+        let mut frame = ArenaFrame::for_plan(&plan);
+        frame.seed_subst(&plan, arena, &seed);
+        let mut witness: Option<Subst> = None;
+        plan.search(arena, &mut frame, &mut |slots| {
+            // The head-seeded plan search only emits containment mappings,
+            // so the loop checks nothing but the multiset-cover property;
+            // the full mapping validity is re-checked only by external
+            // replays ([`is_multiset_onto_mapping`]).
+            let mut h = seed.clone();
+            plan.bind_subst(arena, slots, &mut h);
+            let image: Vec<_> = q2.body.iter().map(|a| h.apply_atom(a)).collect();
+            let covered = q1.body.iter().all(|atom| {
+                let need = q1.body.iter().filter(|a| *a == atom).count();
+                let have = image.iter().filter(|a| *a == atom).count();
+                have >= need
+            });
+            if covered {
+                witness = Some(h);
+                false // stop at the first multiset-onto mapping
+            } else {
+                true
+            }
         });
-        if covered {
-            witness = Some(m.to_subst());
-            false // stop at the first multiset-onto mapping
-        } else {
-            true
-        }
-    });
-    witness
+        witness
+    })
 }
 
 /// Certificate replay for [`onto_containment_mapping`]: is `h` a

@@ -38,27 +38,53 @@
 //!
 //! ## Searching
 //!
-//! [`ArenaPlan`] mirrors [`crate::matcher::MatchPlan`] — dense variable
-//! slots, flat ops, undo trail — but binds [`TermId`]s into a reusable
-//! [`ArenaFrame`]. A frame is allocated once per dependency per run and
-//! [`ArenaFrame::reset`] between searches, so a warm chase step performs
-//! **zero heap allocations** (asserted by `tests/tests/alloc_regression.rs`).
-//! Seeding (the conclusion-extension check of a tgd scan) goes through a
-//! precompiled [`SeedMap`] — extension slot ← premise slot — instead of
-//! a closure over a `Subst`.
+//! [`ArenaPlan`] is the workspace's one compiled homomorphism matcher. A
+//! plan numbers the source conjunction's variables into dense slots (in
+//! first-occurrence order along the plan), resolves every step to a table
+//! id and every constant to a [`TermId`], and searches depth-first over
+//! a reusable [`ArenaFrame`]: a slot array plus an **undo trail**. Binding
+//! a slot pushes it on the trail; backtracking pops back to the entry
+//! mark, so no candidate or emission ever clones a map. Seeded slots are
+//! never trailed and survive the whole search; emit callbacks observe a
+//! fully bound slot array and must not keep it past their return.
+//!
+//! [`ArenaPlan::new`] keeps the written atom order, so its emission order
+//! is the naive backtracker's ([`crate::matcher::reference`]) — required
+//! wherever "the first match" is load-bearing (the chase engine's firing
+//! order, containment witnesses). [`ArenaPlan::optimized`] and
+//! [`ArenaPlan::optimized_with_stats`] reorder atoms by selectivity for
+//! existence-only searches. [`ArenaPlan::search_delta`] restricts a
+//! search to matches using at least one [`ArenaDelta`] row — one pinned
+//! pass per step, which turns the `e(X,Y) -> e(Y,Z)` budget-exhaustion
+//! chase from quadratic to linear work per step.
+//!
+//! The chase engine allocates a frame once per dependency per run and
+//! [`ArenaFrame::reset`]s it between searches, so a warm chase step
+//! performs **zero heap allocations** (asserted by
+//! `tests/tests/alloc_regression.rs`). Seeding (the conclusion-extension
+//! check of a tgd scan) goes through a precompiled [`SeedMap`] —
+//! extension slot ← premise slot — instead of a closure over a `Subst`.
 //!
 //! ## Boxed ↔ arena boundary contract
 //!
 //! The arena is a *run-local accelerator*, not a public wire format:
 //!
 //! * conversion **in** happens once per run ([`TermArena::intern`],
-//!   [`ColumnTable`] fills) — after that, nothing inside a search
-//!   touches a boxed value;
+//!   [`TermArena::push_atoms`], [`ColumnTable`] fills) — after that,
+//!   nothing inside a search touches a boxed value;
 //! * conversion **out** happens only at observable boundaries: trace
 //!   strings, materialized terminal queries, `Subst`s handed to custom
-//!   admission predicates ([`ArenaPlan::bind_subst`]). Cache
-//!   fingerprints, the persist wire format and the service layer keep
-//!   consuming boxed [`crate::CqQuery`]s and never see an id;
+//!   admission predicates or returned as witnesses
+//!   ([`ArenaPlan::bind_subst`]). Cache fingerprints, the persist wire
+//!   format and the service layer keep consuming boxed
+//!   [`crate::CqQuery`]s and never see an id;
+//! * one-shot searches over boxed inputs (containment mappings,
+//!   dependency satisfaction and implication, bag-containment witnesses)
+//!   load their target into the calling thread's **scratch arena**
+//!   ([`with_scratch`]): its rows are cleared before every call and the
+//!   whole arena is replaced once it holds more than a fixed number of
+//!   terms or tables, so chase-fresh variable names cannot grow it
+//!   without bound in a long-running process. Ids never leave the call;
 //! * the naive oracles ([`crate::matcher::reference`], the reference
 //!   chase drivers) stay entirely on the boxed representation, so the
 //!   differential suites remain independent of this module.
@@ -66,6 +92,7 @@
 use crate::atom::{Atom, Predicate};
 use crate::subst::Subst;
 use crate::term::{Term, Var};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// A dense per-arena term id. Equal ids ⇔ equal terms (within one arena).
@@ -211,6 +238,22 @@ impl TermArena {
         row
     }
 
+    /// Appends a boxed conjunction as live rows, atom by atom in slice
+    /// order, registering tables and interning terms on first use. Per
+    /// table, row order is therefore slice order, so a search over the
+    /// arena meets candidates in the order a search over the slice would.
+    pub fn push_atoms(&mut self, atoms: &[Atom]) {
+        let mut ids: Vec<TermId> = Vec::new();
+        for a in atoms {
+            ids.clear();
+            for arg in &a.args {
+                ids.push(self.intern(*arg));
+            }
+            let t = self.table_id(a.key());
+            self.push_row(t, &ids);
+        }
+    }
+
     /// Removes `row` from table `t`'s live list (cells stay in place, so
     /// other rows keep their positions and candidate order is stable).
     pub fn kill_row(&mut self, t: u32, row: u32) {
@@ -247,10 +290,46 @@ impl TermArena {
     }
 }
 
+/// Interned terms or registered tables past which [`with_scratch`]
+/// replaces the thread's scratch arena instead of reusing it. Fixed: the
+/// one-shot searches it serves load a few dozen terms each, so reuse pays
+/// off long before the bound, and the bound is what keeps chase-fresh
+/// variable names from growing a long-running thread's arena forever.
+pub(crate) const SCRATCH_LIMIT: usize = 4096;
+
+thread_local! {
+    static SCRATCH: RefCell<TermArena> = RefCell::new(TermArena::new());
+}
+
+/// Runs `f` over the calling thread's scratch arena, every row cleared
+/// first ([`TermArena::clear_rows`]: interned terms and tables survive,
+/// so a repeated search interns nothing new). Afterwards an arena holding
+/// more than a fixed number of terms or tables is replaced by an empty
+/// one. A call made from inside another scratch search gets a private
+/// arena of its own. Ids from the arena must not outlive `f`.
+pub fn with_scratch<R>(f: impl FnOnce(&mut TermArena) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let Ok(mut arena) = cell.try_borrow_mut() else {
+            return f(&mut TermArena::new());
+        };
+        arena.clear_rows();
+        let out = f(&mut arena);
+        if arena.terms.len() > SCRATCH_LIMIT || arena.tables.len() > SCRATCH_LIMIT {
+            *arena = TermArena::new();
+        }
+        out
+    })
+}
+
+/// The interned-term count of the calling thread's scratch arena.
+#[cfg(test)]
+pub(crate) fn scratch_terms() -> usize {
+    SCRATCH.with(|cell| cell.borrow().terms.len())
+}
+
 /// Delta candidates for [`ArenaPlan::search_delta`]: recently added or
 /// rewritten rows, grouped by table, in touch order (duplicates allowed —
-/// the pinned passes tolerate them, mirroring
-/// [`crate::matcher::DeltaSlots`]).
+/// the pinned passes tolerate them).
 #[derive(Default, Debug)]
 pub struct ArenaDelta {
     by_table: HashMap<u32, Vec<u32>>,
@@ -325,9 +404,10 @@ impl EqOp {
 /// engine's per-check `Seed::Fn` closure with two integer reads.
 pub type SeedMap = Vec<(u32, u32)>;
 
-/// The compiled arena search plan: [`crate::matcher::MatchPlan`]'s twin
-/// over [`TermId`] columns. Variables are dense slots in first-occurrence
-/// order along the plan; see the module docs.
+/// A compiled source conjunction over [`TermId`] columns: atoms in search
+/// order, variables numbered into dense slots in first-occurrence order
+/// along the plan. Reusable across any number of searches of the arena it
+/// was compiled against; see the module docs.
 pub struct ArenaPlan {
     steps: Vec<AStep>,
     ops: Vec<AOp>,
@@ -337,16 +417,18 @@ pub struct ArenaPlan {
 
 impl ArenaPlan {
     /// Compiles `src` keeping the original atom order (emission order is
-    /// identical to the boxed reference-order plan — required where "first
-    /// match" is load-bearing, i.e. every premise plan).
+    /// identical to the naive backtracker's, [`crate::matcher::reference`]
+    /// — required where "first match" is load-bearing, i.e. every premise
+    /// plan and every returned witness).
     pub fn new(src: &[Atom], arena: &mut TermArena) -> ArenaPlan {
         ArenaPlan::compile(src, (0..src.len()).collect(), arena)
     }
 
-    /// Compiles `src` greedily reordered by static selectivity, exactly
-    /// like [`crate::matcher::MatchPlan::optimized`]: constants and
-    /// already-bound slots first, ties toward fewer fresh variables, then
-    /// the original position. Existence-only searches only.
+    /// Compiles `src` greedily reordered by static selectivity: constants
+    /// and already-bound slots (including `bound` — variables the caller
+    /// will seed) first, ties toward fewer fresh variables, then the
+    /// original position. Only the order changes, so the emitted match
+    /// *set* is [`ArenaPlan::new`]'s: existence-only searches only.
     pub fn optimized(src: &[Atom], bound: &[Var], arena: &mut TermArena) -> ArenaPlan {
         ArenaPlan::compile(src, optimized_order(src, bound, |_| 0), arena)
     }
@@ -475,9 +557,10 @@ impl ArenaPlan {
     }
 
     /// [`ArenaPlan::search`] restricted to matches using at least one
-    /// delta row: one pinned pass per plan step, mirroring
-    /// [`crate::matcher::MatchPlan::search_delta`] (matches touching
-    /// several delta rows may be emitted once per pass).
+    /// delta row: one pinned pass per plan step, pass `p` drawing step
+    /// `p`'s candidates from the delta only (matches touching several
+    /// delta rows may be emitted once per pass; first-match callers don't
+    /// care and enumerating callers dedup by slot values).
     pub fn search_delta(
         &self,
         arena: &TermArena,
@@ -563,11 +646,11 @@ impl ArenaPlan {
 }
 
 /// The greedy atom ordering shared by [`ArenaPlan::optimized`] and
-/// [`ArenaPlan::optimized_with_stats`]: maximize `pinned*8 - fresh` (the
-/// boxed heuristic, so the two representations pick identical orders when
-/// `card` is constant), break ties toward the smaller live table (`card`
-/// maps a source atom index to its table's cardinality), then the
-/// original position.
+/// [`ArenaPlan::optimized_with_stats`]: maximize `pinned*8 - fresh`
+/// (constants and already-known variables first, fewer fresh variables on
+/// ties), break remaining ties toward the smaller live table (`card` maps
+/// a source atom index to its table's cardinality), then the original
+/// position.
 fn optimized_order(src: &[Atom], bound: &[Var], card: impl Fn(usize) -> usize) -> Vec<usize> {
     let mut order: Vec<usize> = Vec::with_capacity(src.len());
     let mut placed = vec![false; src.len()];
@@ -654,6 +737,17 @@ impl ArenaFrame {
         self.bound[s as usize] = true;
     }
 
+    /// Seeds every slot of `plan` whose variable `seed` binds, interning
+    /// the image (a boundary conversion for searches seeded by a boxed
+    /// `Subst`; bindings of variables outside the plan are ignored).
+    pub fn seed_subst(&mut self, plan: &ArenaPlan, arena: &mut TermArena, seed: &Subst) {
+        for (v, t) in seed.iter() {
+            if let Some(s) = plan.slot(v) {
+                self.seed(s, arena.intern(*t));
+            }
+        }
+    }
+
     /// Seeds this frame from a source match via a precompiled [`SeedMap`]
     /// (`self slot ← src_slots[src slot]`).
     pub fn seed_from(&mut self, map: &SeedMap, src_slots: &[TermId]) {
@@ -673,29 +767,17 @@ impl ArenaFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::{bucket_atoms, MatchPlan, Seed, Target};
+    use crate::matcher::reference;
     use crate::parser::parse_query;
+    use std::collections::HashSet;
 
     fn body(s: &str) -> Vec<Atom> {
         parse_query(s).unwrap().body
     }
 
-    /// Loads a boxed body into a fresh arena, rows in slot order.
-    fn load(arena: &mut TermArena, atoms: &[Atom]) {
-        let mut scratch = Vec::new();
-        for a in atoms {
-            let t = arena.table_id(a.key());
-            scratch.clear();
-            for arg in &a.args {
-                scratch.push(arena.intern(*arg));
-            }
-            arena.push_row(t, &scratch);
-        }
-    }
-
     fn all_matches(src: &[Atom], dst: &[Atom]) -> Vec<Vec<Term>> {
         let mut arena = TermArena::new();
-        load(&mut arena, dst);
+        arena.push_atoms(dst);
         let plan = ArenaPlan::new(src, &mut arena);
         let mut frame = ArenaFrame::for_plan(&plan);
         let mut out = Vec::new();
@@ -706,19 +788,119 @@ mod tests {
         out
     }
 
-    #[test]
-    fn emission_order_matches_boxed_plan() {
-        let src = body("q() :- p(X,Y), p(Y,Z)");
-        let dst = body("q() :- p(1,2), p(2,3), p(2,2)");
-        let arena_runs = all_matches(&src, &dst);
-        let plan = MatchPlan::new(&src);
-        let buckets = bucket_atoms(&dst);
-        let mut boxed_runs: Vec<Vec<Term>> = Vec::new();
-        plan.search(Target::new(&dst, &buckets), &Seed::Empty, &mut |m| {
-            boxed_runs.push(m.slots().to_vec());
+    /// Every match of `plan` extending `seed`, as substitutions carrying
+    /// the seed's out-of-plan bindings (the oracle's output shape).
+    fn all_substs(plan: &ArenaPlan, arena: &mut TermArena, seed: &Subst) -> Vec<Subst> {
+        let mut frame = ArenaFrame::for_plan(plan);
+        frame.seed_subst(plan, arena, seed);
+        let mut out = Vec::new();
+        plan.search(arena, &mut frame, &mut |slots| {
+            let mut h = seed.clone();
+            plan.bind_subst(arena, slots, &mut h);
+            out.push(h);
             true
         });
-        assert_eq!(arena_runs, boxed_runs);
+        out
+    }
+
+    fn oracle(src: &[Atom], dst: &[Atom], seed: &Subst) -> Vec<Subst> {
+        let mut out = Vec::new();
+        reference::search_homomorphisms(src, dst, seed, &mut |h| {
+            out.push(h.clone());
+            true
+        });
+        out
+    }
+
+    #[test]
+    fn emission_order_matches_reference() {
+        let src = body("q() :- p(X,Y), p(Y,Z)");
+        let dst = body("q() :- p(1,2), p(2,3), p(2,2)");
+        let mut arena = TermArena::new();
+        arena.push_atoms(&dst);
+        let plan = ArenaPlan::new(&src, &mut arena);
+        let planned = all_substs(&plan, &mut arena, &Subst::new());
+        assert_eq!(planned, oracle(&src, &dst, &Subst::new()));
+    }
+
+    #[test]
+    fn seeded_search_carries_out_of_plan_bindings() {
+        let src = body("q() :- p(X)");
+        let dst = body("q() :- p(1)");
+        let mut arena = TermArena::new();
+        arena.push_atoms(&dst);
+        let plan = ArenaPlan::new(&src, &mut arena);
+        let seed =
+            Subst::from_pairs([(Var::new("Z"), Term::int(9)), (Var::new("X"), Term::int(1))]);
+        let hs = all_substs(&plan, &mut arena, &seed);
+        assert_eq!(hs, oracle(&src, &dst, &seed));
+        assert_eq!(hs.len(), 1);
+        assert_eq!(hs[0].get(Var::new("Z")), Some(&Term::int(9)));
+        // A conflicting seed — a term the target never mentions — kills
+        // the only candidate.
+        let bad = Subst::from_pairs([(Var::new("X"), Term::int(2))]);
+        assert!(all_substs(&plan, &mut arena, &bad).is_empty());
+        assert!(oracle(&src, &dst, &bad).is_empty());
+    }
+
+    #[test]
+    fn optimized_plan_emits_the_reference_match_set() {
+        let src = body("q() :- a(X,Y), b(Y,3), c(Y)");
+        let dst = body("q() :- a(1,2), a(2,2), b(2,3), c(2), b(1,4)");
+        let mut arena = TermArena::new();
+        arena.push_atoms(&dst);
+        let plan = ArenaPlan::optimized(&src, &[], &mut arena);
+        let set = |hs: Vec<Subst>| hs.iter().map(Subst::sorted_pairs).collect::<HashSet<_>>();
+        let planned = set(all_substs(&plan, &mut arena, &Subst::new()));
+        assert_eq!(planned, set(oracle(&src, &dst, &Subst::new())));
+        assert!(!planned.is_empty());
+        // And the optimized order leads with the constant-bearing b-atom.
+        assert_eq!(plan.step_table(0), arena.lookup_table(&src[1].key()).unwrap());
+    }
+
+    #[test]
+    fn empty_plan_emits_once_and_never_under_delta() {
+        let mut arena = TermArena::new();
+        arena.push_atoms(&body("q() :- p(1)"));
+        let plan = ArenaPlan::new(&[], &mut arena);
+        let mut frame = ArenaFrame::for_plan(&plan);
+        let mut n = 0;
+        plan.search(&arena, &mut frame, &mut |_| {
+            n += 1;
+            true
+        });
+        assert_eq!(n, 1);
+        let mut nd = 0;
+        plan.search_delta(&arena, &ArenaDelta::new(), &mut frame, &mut |_| {
+            nd += 1;
+            true
+        });
+        assert_eq!(nd, 0, "an empty conjunction can never touch the delta");
+    }
+
+    #[test]
+    fn push_atoms_keeps_slice_order_per_table() {
+        let atoms = body("q() :- e(1,2), f(7), e(2,3), e(1,2)");
+        let mut arena = TermArena::new();
+        arena.push_atoms(&atoms);
+        let e = arena.lookup_table(&atoms[0].key()).unwrap();
+        assert_eq!(arena.table(e).live_rows(), &[0, 1, 2]);
+        let rows: Vec<Atom> = (0..3).map(|r| arena.row_atom(e, r)).collect();
+        assert_eq!(rows, vec![atoms[0].clone(), atoms[2].clone(), atoms[3].clone()]);
+        assert_eq!(arena.live_count(&atoms[1].key()), 1);
+    }
+
+    #[test]
+    fn scratch_rows_are_cleared_between_calls() {
+        with_scratch(|arena| arena.push_atoms(&body("q() :- e(1,2)")));
+        let e = body("q() :- e(1,2)")[0].key();
+        with_scratch(|arena| {
+            assert_eq!(arena.live_count(&e), 0);
+            // A nested call gets a private arena and leaves this one alone.
+            arena.push_atoms(&body("q() :- e(3,4)"));
+            with_scratch(|inner| assert_eq!(inner.live_count(&e), 0));
+            assert_eq!(arena.live_count(&e), 1);
+        });
     }
 
     #[test]
@@ -734,7 +916,7 @@ mod tests {
         let src = body("q() :- e(X,Y)");
         let dst = body("q() :- e(1,2), e(2,3)");
         let mut arena = TermArena::new();
-        load(&mut arena, &dst);
+        arena.push_atoms(&dst);
         let plan = ArenaPlan::new(&src, &mut arena);
         let x = plan.slot(Var::new("X")).unwrap();
         let two = arena.intern(Term::int(2));
@@ -755,7 +937,7 @@ mod tests {
         let src = body("q() :- e(X,Y)");
         let dst = body("q() :- e(1,2), e(2,3), e(3,4)");
         let mut arena = TermArena::new();
-        load(&mut arena, &dst);
+        arena.push_atoms(&dst);
         let plan = ArenaPlan::new(&src, &mut arena);
         let t = arena.lookup_table(&dst[0].key()).unwrap();
         let mut delta = ArenaDelta::new();
@@ -774,7 +956,7 @@ mod tests {
     fn kill_and_rewrite_preserve_row_order() {
         let dst = body("q() :- e(1,2), e(2,3), e(3,4)");
         let mut arena = TermArena::new();
-        load(&mut arena, &dst);
+        arena.push_atoms(&dst);
         let t = arena.lookup_table(&dst[0].key()).unwrap();
         arena.kill_row(t, 1);
         assert_eq!(arena.table(t).live_rows(), &[0, 2]);
@@ -801,8 +983,8 @@ mod tests {
         let big: Vec<Atom> =
             (0..10).map(|i| body(&format!("q() :- big({i},{i})")).remove(0)).collect();
         let small = body("q() :- small(7,8)");
-        load(&mut arena, &big);
-        load(&mut arena, &small);
+        arena.push_atoms(&big);
+        arena.push_atoms(&small);
         let plan = ArenaPlan::optimized_with_stats(&src, &[], &mut arena);
         // First step scans the small table.
         assert_eq!(plan.step_table(0), arena.lookup_table(&small[0].key()).unwrap());
@@ -824,7 +1006,7 @@ mod tests {
     fn clear_rows_keeps_registry_and_terms() {
         let dst = body("q() :- e(1,2)");
         let mut arena = TermArena::new();
-        load(&mut arena, &dst);
+        arena.push_atoms(&dst);
         let t = arena.lookup_table(&dst[0].key()).unwrap();
         let one = arena.lookup(&Term::int(1)).unwrap();
         arena.clear_rows();

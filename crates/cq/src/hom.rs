@@ -1,5 +1,5 @@
-//! Homomorphisms between conjunctions of atoms and containment mappings
-//! between conjunctive queries (Chandra–Merlin \[2\]).
+//! Containment mappings between conjunctive queries (Chandra–Merlin
+//! \[2\]).
 //!
 //! A homomorphism from conjunction `φ(U)` to conjunction `ψ(V)` maps the
 //! variables of `φ` to terms of `ψ` such that constants are fixed and every
@@ -7,131 +7,23 @@
 //! mapping search is NP-complete in general; the inputs in this workspace
 //! are small symbolic queries.
 //!
-//! Since the matcher refactor these free functions are thin wrappers over
-//! the planned, trail-based search in [`crate::matcher`]; the plans they
-//! build preserve the source atom order, so emission order (and therefore
-//! every "first homomorphism" choice) is identical to the historical naive
-//! backtracker, which survives as [`crate::matcher::reference`]. Callers
-//! with a hot loop should compile a [`MatchPlan`]
-//! once and search it directly instead of paying the per-call compile here.
+//! The search runs on the one compiled matcher, [`ArenaPlan`], over the
+//! calling thread's scratch arena ([`with_scratch`]). The plan keeps the
+//! source atom order, so the witness found is the one the naive
+//! backtracker ([`crate::matcher::reference`]) finds first. Callers with a
+//! hot loop over one target should load it into a
+//! [`TermArena`](crate::arena::TermArena) once and search compiled plans
+//! directly.
 
-use crate::atom::Atom;
-use crate::matcher::{MatchPlan, Seed, Target};
+use crate::arena::{with_scratch, ArenaFrame, ArenaPlan};
 use crate::query::CqQuery;
 use crate::subst::Subst;
 use crate::term::Term;
 
-pub use crate::matcher::{bucket_atoms, Buckets};
-
-/// Upper bound on the number of homomorphisms [`enumerate_homomorphisms`]
-/// will materialize before reporting truncation (a guard against
-/// pathological inputs; the chase never comes close on paper-scale
-/// inputs).
+/// Upper bound on the number of homomorphisms an exhaustive enumeration
+/// materializes before reporting truncation (a guard against pathological
+/// inputs; the chase never comes close on paper-scale inputs).
 pub const MAX_HOMOMORPHISMS: usize = 200_000;
-
-/// The result of an exhaustive homomorphism enumeration.
-#[derive(Clone, Debug)]
-pub struct HomEnumeration {
-    /// The homomorphisms found, deduplicated by their variable bindings,
-    /// in the deterministic search order.
-    pub homs: Vec<Subst>,
-    /// Did the enumeration stop at [`MAX_HOMOMORPHISMS`] with candidates
-    /// left unexplored? When set, `homs` is an arbitrary prefix — treat
-    /// any universally quantified conclusion drawn from it as unverified.
-    pub truncated: bool,
-}
-
-/// Lazily enumerates homomorphisms from `src` into `dst` extending `seed`,
-/// restricted to the target atoms listed in `buckets` (which may cover only
-/// a live subset of `dst` — dead slots simply never appear as candidates).
-/// `emit` receives each complete homomorphism; returning `false` stops the
-/// search immediately. No homomorphism set is ever materialized, but each
-/// emission does materialize one `Subst` for the callback — hot loops
-/// should search a compiled [`MatchPlan`] directly and read the borrowed
-/// [`Match`](crate::matcher::Match) instead.
-pub fn search_homomorphisms(
-    src: &[Atom],
-    dst: &[Atom],
-    buckets: &Buckets,
-    seed: &Subst,
-    emit: &mut dyn FnMut(&Subst) -> bool,
-) {
-    let plan = MatchPlan::new(src);
-    plan.search(Target::new(dst, buckets), &Seed::Subst(seed), &mut |m| emit(&m.to_subst()));
-}
-
-/// Finds one homomorphism from `src` to `dst` extending `seed` and
-/// satisfying `pred`, short-circuiting at the first hit. Candidates are
-/// enumerated in the same deterministic order as [`enumerate_homomorphisms`].
-pub fn find_homomorphism_where(
-    src: &[Atom],
-    dst: &[Atom],
-    seed: &Subst,
-    pred: &mut dyn FnMut(&Subst) -> bool,
-) -> Option<Subst> {
-    let buckets = bucket_atoms(dst);
-    let plan = MatchPlan::new(src);
-    let mut found: Option<Subst> = None;
-    plan.search(Target::new(dst, &buckets), &Seed::Subst(seed), &mut |m| {
-        let h = m.to_subst();
-        if pred(&h) {
-            found = Some(h);
-            false
-        } else {
-            true
-        }
-    });
-    found
-}
-
-/// Finds one homomorphism from `src` to `dst` extending `seed`, if any.
-pub fn extend_homomorphism(src: &[Atom], dst: &[Atom], seed: &Subst) -> Option<Subst> {
-    let buckets = bucket_atoms(dst);
-    extend_homomorphism_with_buckets(src, dst, &buckets, seed)
-}
-
-/// [`extend_homomorphism`] against caller-maintained buckets.
-pub fn extend_homomorphism_with_buckets(
-    src: &[Atom],
-    dst: &[Atom],
-    buckets: &Buckets,
-    seed: &Subst,
-) -> Option<Subst> {
-    MatchPlan::new(src).first_match(Target::new(dst, buckets), &Seed::Subst(seed))
-}
-
-/// Finds one homomorphism from `src` to `dst`, if any.
-pub fn find_homomorphism(src: &[Atom], dst: &[Atom]) -> Option<Subst> {
-    extend_homomorphism(src, dst, &Subst::new())
-}
-
-/// Enumerates all homomorphisms from `src` to `dst` extending `seed`,
-/// deduplicated by their variable bindings. Deduplication compares the
-/// plan's dense slot array in place — no per-emission allocation — and
-/// enumeration past [`MAX_HOMOMORPHISMS`] is reported via
-/// [`HomEnumeration::truncated`] instead of being silently dropped.
-pub fn enumerate_homomorphisms(src: &[Atom], dst: &[Atom], seed: &Subst) -> HomEnumeration {
-    let buckets = bucket_atoms(dst);
-    let plan = MatchPlan::new(src);
-    let mut homs: Vec<Subst> = Vec::new();
-    let mut truncated = false;
-    let mut seen: std::collections::HashSet<Box<[Term]>> = std::collections::HashSet::new();
-    plan.search(Target::new(dst, &buckets), &Seed::Subst(seed), &mut |m| {
-        // Membership test borrows the live slot slice; only genuinely new
-        // homomorphisms allocate (their `Subst` is materialized anyway).
-        if seen.contains(m.slots()) {
-            return true;
-        }
-        if homs.len() == MAX_HOMOMORPHISMS {
-            truncated = true;
-            return false;
-        }
-        seen.insert(m.slots().to_vec().into_boxed_slice());
-        homs.push(m.to_subst());
-        true
-    });
-    HomEnumeration { homs, truncated }
-}
 
 /// A containment mapping from `from` to `to`: a homomorphism between the
 /// bodies that maps the head of `from` onto the head of `to`, position by
@@ -155,12 +47,23 @@ pub fn containment_mapping(from: &CqQuery, to: &CqQuery) -> Option<Subst> {
             }
         }
     }
-    // Reference-order plan: containment checks run overwhelmingly on
-    // small bodies (C&B subqueries, equivalence probes) where the O(n)
-    // compile wins, and it keeps the historical first-match choice.
-    let plan = MatchPlan::new(&from.body);
-    let buckets = bucket_atoms(&to.body);
-    plan.first_match(Target::new(&to.body, &buckets), &Seed::Subst(&seed))
+    with_scratch(|arena| {
+        arena.push_atoms(&to.body);
+        // Reference-order plan: containment checks run overwhelmingly on
+        // small bodies (C&B subqueries, equivalence probes) where the O(n)
+        // compile wins, and it keeps the historical first-match choice.
+        let plan = ArenaPlan::new(&from.body, arena);
+        let mut frame = ArenaFrame::for_plan(&plan);
+        frame.seed_subst(&plan, arena, &seed);
+        let mut found = None;
+        plan.search(arena, &mut frame, &mut |slots| {
+            let mut h = seed.clone();
+            plan.bind_subst(arena, slots, &mut h);
+            found = Some(h);
+            false
+        });
+        found
+    })
 }
 
 /// Checks that `h` really is a containment mapping from `from` to `to`:
@@ -186,79 +89,53 @@ pub fn is_containment_mapping(from: &CqQuery, to: &CqQuery, h: &Subst) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matcher::reference;
     use crate::parser::parse_query;
 
     fn q(s: &str) -> CqQuery {
         parse_query(s).unwrap()
     }
 
-    #[test]
-    fn identity_homomorphism_exists() {
-        let a = q("q(X) :- p(X,Y), s(Y,Z)");
-        assert!(find_homomorphism(&a.body, &a.body).is_some());
+    /// The oracle's answer: the reference backtracker's first homomorphism
+    /// extending the head pairing.
+    fn oracle(from: &CqQuery, to: &CqQuery) -> Option<Subst> {
+        let mut seed = Subst::new();
+        for (f, t) in from.head.iter().zip(to.head.iter()) {
+            match f {
+                Term::Var(v) if seed.bind(*v, *t) => {}
+                Term::Const(_) if f == t => {}
+                _ => return None,
+            }
+        }
+        reference::extend_homomorphism(&from.body, &to.body, &seed)
     }
 
     #[test]
-    fn homomorphism_can_collapse_variables() {
-        let src = q("q(X) :- p(X,Y), p(Y,X)");
-        let dst = q("q(X) :- p(X,X)");
-        let h = find_homomorphism(&src.body, &dst.body).unwrap();
+    fn identity_mapping_exists() {
+        let a = q("q(X) :- p(X,Y), s(Y,Z)");
+        assert!(containment_mapping(&a, &a).is_some());
+    }
+
+    #[test]
+    fn mapping_can_collapse_variables() {
+        let src = q("q() :- p(X,Y), p(Y,X)");
+        let dst = q("q() :- p(X,X)");
+        let h = containment_mapping(&src, &dst).unwrap();
         assert_eq!(h.apply_term(&Term::var("Y")), h.apply_term(&Term::var("X")));
     }
 
     #[test]
-    fn no_homomorphism_on_missing_predicate() {
+    fn no_mapping_on_missing_predicate() {
         let src = q("q(X) :- p(X,Y), r(Y)");
         let dst = q("q(X) :- p(X,Y)");
-        assert!(find_homomorphism(&src.body, &dst.body).is_none());
+        assert!(containment_mapping(&src, &dst).is_none());
     }
 
     #[test]
-    fn constants_must_match() {
+    fn body_constants_must_match() {
         let src = q("q(X) :- p(X, 3)");
-        let dst_ok = q("q(X) :- p(X, 3)");
-        let dst_bad = q("q(X) :- p(X, 4)");
-        assert!(find_homomorphism(&src.body, &dst_ok.body).is_some());
-        assert!(find_homomorphism(&src.body, &dst_bad.body).is_none());
-    }
-
-    #[test]
-    fn all_homomorphisms_counts_targets() {
-        let src = q("q() :- p(X)");
-        let dst = q("q() :- p(A), p(B), p(C)");
-        let e = enumerate_homomorphisms(&src.body, &dst.body, &Subst::new());
-        assert_eq!(e.homs.len(), 3);
-        assert!(!e.truncated);
-    }
-
-    #[test]
-    fn all_homomorphisms_dedups_bindings() {
-        // Duplicate target atoms yield the same variable mapping.
-        let src = q("q() :- p(X)");
-        let dst = q("q() :- p(A), p(A)");
-        let e = enumerate_homomorphisms(&src.body, &dst.body, &Subst::new());
-        assert_eq!(e.homs.len(), 1);
-    }
-
-    #[test]
-    fn enumeration_reports_truncation() {
-        // 2^18 = 262144 > MAX_HOMOMORPHISMS homomorphisms: 18 independent
-        // source atoms with 2 candidates each.
-        let src_body: Vec<Atom> = (0..18)
-            .map(|i| Atom::new(&format!("p{i}"), vec![Term::var(&format!("X{i}"))]))
-            .collect();
-        let mut dst_body: Vec<Atom> = Vec::new();
-        for i in 0..18 {
-            dst_body.push(Atom::new(&format!("p{i}"), vec![Term::int(0)]));
-            dst_body.push(Atom::new(&format!("p{i}"), vec![Term::int(1)]));
-        }
-        let e = enumerate_homomorphisms(&src_body, &dst_body, &Subst::new());
-        assert!(e.truncated);
-        assert_eq!(e.homs.len(), MAX_HOMOMORPHISMS);
-        // A small instance is complete and unflagged.
-        let small = enumerate_homomorphisms(&src_body[..2], &dst_body[..4], &Subst::new());
-        assert!(!small.truncated);
-        assert_eq!(small.homs.len(), 4);
+        assert!(containment_mapping(&src, &q("q(X) :- p(X, 3)")).is_some());
+        assert!(containment_mapping(&src, &q("q(X) :- p(X, 4)")).is_none());
     }
 
     #[test]
@@ -283,6 +160,15 @@ mod tests {
     }
 
     #[test]
+    fn head_seed_pins_the_search() {
+        let from = q("q(X) :- p(X,Y)");
+        let to = q("q(3) :- p(1,2), p(3,4)");
+        let h = containment_mapping(&from, &to).unwrap();
+        assert_eq!(h.apply_term(&Term::var("Y")), Term::int(4));
+        assert_eq!(Some(h), oracle(&from, &to));
+    }
+
+    #[test]
     fn containment_mapping_witness_replays() {
         let q1 = q("q(X) :- p(X,Y)");
         let q2 = q("q(X) :- p(X,X)");
@@ -298,30 +184,41 @@ mod tests {
     }
 
     #[test]
-    fn seeded_extension() {
-        let src = q("q() :- p(X,Y)");
-        let dst = q("q() :- p(1,2), p(3,4)");
-        let seed = Subst::from_pairs([(crate::term::Var::new("X"), Term::int(3))]);
-        let h = extend_homomorphism(&src.body, &dst.body, &seed).unwrap();
-        assert_eq!(h.apply_term(&Term::var("Y")), Term::int(4));
+    fn first_witness_agrees_with_reference_backtracker() {
+        let from = q("q(X) :- p(X,Y), p(Y,Z), r(Z)");
+        let to = q("q(1) :- p(1,2), p(2,3), p(2,2), r(3), r(2)");
+        let h = containment_mapping(&from, &to);
+        assert!(h.is_some());
+        assert_eq!(h, oracle(&from, &to), "first witness diverged from the oracle");
     }
 
+    /// A long-running server checks containment over chase-fresh variable
+    /// names forever: the scratch arena must stay under its bound, and
+    /// answers must stay the oracle's across every reset.
     #[test]
-    fn wrappers_agree_with_reference_backtracker() {
-        let src = q("q() :- p(X,Y), p(Y,Z), r(Z)");
-        let dst = q("q() :- p(1,2), p(2,3), p(2,2), r(3), r(2)");
-        let planned = enumerate_homomorphisms(&src.body, &dst.body, &Subst::new()).homs;
-        let (naive, truncated) = crate::matcher::reference::enumerate_homomorphisms(
-            &src.body,
-            &dst.body,
-            &Subst::new(),
-            MAX_HOMOMORPHISMS,
-        );
-        assert!(!truncated);
-        assert_eq!(planned, naive, "emission order or dedup diverged from the oracle");
-        assert_eq!(
-            find_homomorphism(&src.body, &dst.body),
-            crate::matcher::reference::extend_homomorphism(&src.body, &dst.body, &Subst::new())
-        );
+    fn scratch_arena_stays_bounded_over_fresh_names() {
+        use crate::arena::{scratch_terms, SCRATCH_LIMIT};
+        let (mut resets, mut found) = (0, 0);
+        let mut last = scratch_terms();
+        for i in 0..3 * SCRATCH_LIMIT / 4 {
+            let from = q(&format!("q(X{i}) :- p(X{i},Y{i}), r(Y{i})"));
+            let body = if i % 2 == 0 {
+                format!("p(A{i},B{i}), r(B{i}), r({})", i % 5)
+            } else {
+                format!("p(A{i},B{i}), p(B{i},C{i}), r(C{i})")
+            };
+            let to = q(&format!("q(A{i}) :- {body}"));
+            let h = containment_mapping(&from, &to);
+            assert_eq!(h, oracle(&from, &to), "call {i}");
+            found += usize::from(h.is_some());
+            let now = scratch_terms();
+            assert!(now <= SCRATCH_LIMIT, "call {i}: scratch arena holds {now} terms");
+            if now < last {
+                resets += 1;
+            }
+            last = now;
+        }
+        assert_eq!(found, 3 * SCRATCH_LIMIT / 8, "every even call maps, no odd one does");
+        assert!(resets >= 1, "the scratch arena was never replaced");
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::atom::Atom;
 use crate::query::CqQuery;
-use crate::term::Var;
+use crate::term::{Term, Var};
 use std::collections::HashMap;
 
 /// Are `q1` and `q2` isomorphic (same query up to bijective variable
@@ -27,11 +27,10 @@ pub fn are_isomorphic(q1: &CqQuery, q2: &CqQuery) -> bool {
 /// The returned map is total on `q1.all_vars()` and injective; its image is
 /// exactly `q2.all_vars()`.
 ///
-/// The multiset matching itself runs on the planned, trail-based search of
-/// [`crate::matcher`] ([`crate::matcher::find_bijection`]): the body atoms
-/// are compiled into a reference-order `MatchPlan` (the O(n) compile wins
-/// on the small bodies this runs against) and matched injectively under a
-/// bijective variable pairing. Only the cheap shape rejects live here.
+/// After cheap shape rejects, the multiset matching is a trail-based
+/// backtracking search that walks `q1`'s body atoms in written order,
+/// pairing each with an unused `q2` atom of the same predicate under a
+/// bijective variable pairing.
 pub fn find_isomorphism(q1: &CqQuery, q2: &CqQuery) -> Option<HashMap<Var, Var>> {
     if q1.head.len() != q2.head.len() || q1.body.len() != q2.body.len() {
         return None;
@@ -47,7 +46,103 @@ pub fn find_isomorphism(q1: &CqQuery, q2: &CqQuery) -> Option<HashMap<Var, Var>>
     if counts.values().any(|&c| c != 0) {
         return None;
     }
-    crate::matcher::find_bijection(&q1.body, &q1.head, &q2.body, &q2.head)
+    find_bijection(&q1.body, &q1.head, &q2.body, &q2.head)
+}
+
+/// A bijective variable pairing carrying `src` onto `dst` atom for atom,
+/// every `dst` atom used exactly once, seeded by the head pairs. Returns
+/// the witnessing forward map.
+///
+/// No compiled plan: a plan's dense slots would only be turned back into
+/// the source terms, and the bodies here are small (the chase-cache hit
+/// path runs one check per probe), so the search walks `src` directly and
+/// scans `dst` linearly with a key filter.
+fn find_bijection(
+    src: &[Atom],
+    src_head: &[Term],
+    dst: &[Atom],
+    dst_head: &[Term],
+) -> Option<HashMap<Var, Var>> {
+    // A size mismatch would let the search succeed with target atoms left
+    // unused — an injective-but-not-surjective map passed off as an
+    // isomorphism.
+    if src.len() != dst.len() || src_head.len() != dst_head.len() {
+        return None;
+    }
+    let mut iso = IsoFrame {
+        fwd: HashMap::new(),
+        bwd: HashMap::new(),
+        used: vec![false; dst.len()],
+        trail: Vec::new(),
+    };
+    for (s, t) in src_head.iter().zip(dst_head.iter()) {
+        if !iso.pair_terms(s, t) {
+            return None;
+        }
+    }
+    iso.match_atoms(src, dst).then_some(iso.fwd)
+}
+
+/// Search state of [`find_bijection`]: the pairing in both directions, the
+/// used-target mask, and an undo trail of paired source variables.
+struct IsoFrame {
+    fwd: HashMap<Var, Var>,
+    bwd: HashMap<Var, Var>,
+    used: Vec<bool>,
+    /// Source vars paired since the start, for undo.
+    trail: Vec<Var>,
+}
+
+impl IsoFrame {
+    /// Pairs `s ↔ t` under the bijection; records new pairs on the trail.
+    /// On `false` the caller undoes to its mark.
+    fn pair_terms(&mut self, s: &Term, t: &Term) -> bool {
+        match (s, t) {
+            (Term::Const(c), Term::Const(d)) => c == d,
+            (Term::Var(a), Term::Var(b)) => match (self.fwd.get(a), self.bwd.get(b)) {
+                (Some(b0), _) => b0 == b,
+                (None, Some(_)) => false, // b already paired with another var
+                (None, None) => {
+                    self.fwd.insert(*a, *b);
+                    self.bwd.insert(*b, *a);
+                    self.trail.push(*a);
+                    true
+                }
+            },
+            _ => false,
+        }
+    }
+
+    fn undo_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let a = self.trail.pop().expect("trail underflow");
+            if let Some(b) = self.fwd.remove(&a) {
+                self.bwd.remove(&b);
+            }
+        }
+    }
+
+    /// Matches `src[0]` onto some unused `dst` atom, then the rest.
+    fn match_atoms(&mut self, src: &[Atom], dst: &[Atom]) -> bool {
+        let Some((atom, rest)) = src.split_first() else {
+            return true;
+        };
+        for (j, cand) in dst.iter().enumerate() {
+            if self.used[j] || cand.key() != atom.key() {
+                continue;
+            }
+            let mark = self.trail.len();
+            if atom.args.iter().zip(cand.args.iter()).all(|(s, t)| self.pair_terms(s, t)) {
+                self.used[j] = true;
+                if self.match_atoms(rest, dst) {
+                    return true;
+                }
+                self.used[j] = false;
+            }
+            self.undo_to(mark);
+        }
+        false
+    }
 }
 
 /// Checks that `map` really is an isomorphism witness from `q1` onto `q2`:
@@ -113,7 +208,6 @@ mod tests {
     use super::*;
     use crate::atom::Predicate;
     use crate::parser::parse_query;
-    use crate::term::Term;
 
     fn q(s: &str) -> CqQuery {
         parse_query(s).unwrap()
@@ -222,6 +316,21 @@ mod tests {
         let some_key = *partial.keys().next().unwrap();
         partial.remove(&some_key);
         assert!(!is_isomorphism(&a, &b, &partial));
+    }
+
+    #[test]
+    fn bijection_search_finds_renamings_only() {
+        let a = q("q(X) :- p(X,Y), s(Y,Z)");
+        let b = q("q(A) :- s(B,C), p(A,B)");
+        let m = find_bijection(&a.body, &a.head, &b.body, &b.head).expect("isomorphic");
+        assert_eq!(m.get(&Var::new("X")), Some(&Var::new("A")));
+        assert_eq!(m.get(&Var::new("Y")), Some(&Var::new("B")));
+        // Collapsing map is not a bijection.
+        let c = q("q(X) :- p(X,X), s(X,X)");
+        assert!(find_bijection(&a.body, &a.head, &c.body, &c.head).is_none());
+        // Nor is an injective map that leaves a target atom unused.
+        let d = q("q(A) :- s(B,C), p(A,B), s(B,C)");
+        assert!(find_bijection(&a.body, &a.head, &d.body, &d.head).is_none());
     }
 
     #[test]

@@ -1,614 +1,32 @@
-//! The planned, trail-based homomorphism matcher — the one search engine
-//! behind every decision procedure in the workspace.
+//! Homomorphism-search support beside the compiled matcher.
 //!
 //! Chase termination (§4 of the paper), Σ-equivalence and sound C&B (§5),
 //! dependency implication and satisfaction, query isomorphism, and bag
 //! containment all bottom out in homomorphism search between conjunctions
-//! of atoms. Before this module they ran five independent copies of the
-//! same naive backtracker, each cloning a `HashMap`-backed [`Subst`] per
-//! seed and per emitted match with a static left-to-right atom order. The
-//! matcher replaces all of them with one compiled-plan search:
+//! of atoms. The one compiled matcher for all of them is
+//! [`crate::arena::ArenaPlan`] (dense variable slots, an undo trail,
+//! delta-constrained passes); this module keeps what surrounds it:
 //!
-//! ## Plan format
-//!
-//! [`MatchPlan::new`]/[`MatchPlan::optimized`] compile a source conjunction
-//! once into a [`MatchPlan`]:
-//!
-//! * every source variable is numbered into a **dense slot** (`u32`), in
-//!   first-occurrence order along the plan;
-//! * every atom becomes a `PlanStep`: its predicate/arity key plus one
-//!   `ArgOp` per argument — `Const(t)` (target argument must equal `t`) or
-//!   `Slot(s)` (bind or compare slot `s`);
-//! * `new` keeps the original atom order, so the emission sequence is
-//!   bit-identical to the naive backtracker's ([`mod@reference`]) — required
-//!   wherever "the first homomorphism" is semantically load-bearing (the
-//!   chase engine's firing order); `optimized` greedily reorders atoms by
-//!   selectivity and connectivity (constants and already-bound slots
-//!   first, atoms joined to the bound prefix before cartesian detours) —
-//!   safe for every existence-only or set-valued use.
-//!
-//! Because slots are symbolic, a plan is **renaming-invariant**: the chase
-//! engine compiles one plan per dependency and reuses it across every
-//! step, even though the naive path had to rename the dependency apart
-//! from the evolving query before each search.
-//!
-//! ## Trail invariants
-//!
-//! A search runs on a `Frame`: a slot array plus an **undo trail**.
-//! Binding a slot pushes its index on the trail; backtracking pops the
-//! trail back to the entry mark. No per-candidate or per-emission
-//! `HashMap` clone ever happens; a complete match is read directly off
-//! the slot array through [`Match`], and only materialized into a
-//! [`Subst`] when the caller keeps it. Invariants:
-//!
-//! * `bound[s]` ⇔ slot `s` was seeded or trail-bound; seeded slots are
-//!   never on the trail (they survive backtracking across the whole
-//!   search);
-//! * every trail entry is popped exactly once, by the frame that pushed
-//!   it — emit callbacks observe a fully bound frame but must not hold
-//!   onto it past their return.
-//!
-//! ## Delta semantics
-//!
-//! [`MatchPlan::search_delta`] restricts the search to matches that use at
-//! least one target atom from a caller-supplied **delta** ([`DeltaSlots`]:
-//! the atoms added or rewritten since the calling dependency's last
-//! exhaustive check). It runs one *pinned* pass per plan step — pass `p`
-//! draws step `p`'s candidates from the delta only — so a conjunction
-//! with `k` atoms costs `k` pinned searches, each touching the delta
-//! instead of the whole target. A match using several delta atoms may be
-//! emitted once per pinned pass; first-match callers don't care and
-//! enumerating callers dedup by slot values. This is what turns the
-//! `e(X,Y) -> e(Y,Z)` budget-exhaustion chase from quadratic to linear
-//! work per step: the applicable homomorphism lives at the newest atom,
-//! and the pinned pass finds it without rescanning the old ones.
-//!
-//! ## Parallel probes
-//!
-//! [`probe_all`] fans independent read-only searches out across scoped
-//! worker threads and returns their results in submission order. The
-//! chase engine uses it to probe several queued dependencies' first
-//! admissible homomorphisms speculatively: the lowest-indexed actionable
-//! probe commits — preserving the reference firing order exactly — and
-//! "no match" verdicts for the others are retired wholesale, since every
-//! probe ran against the same immutable body snapshot. (Custom admission
-//! predicates — the sound chase's assignment-fixing test of Example 5.1 —
-//! close over mutable state and keep the sequential path.)
-//!
-//! The naive backtracker survives unchanged as [`mod@reference`], the
-//! differential-testing oracle (`tests/tests/matcher_differential.rs`).
-
-use crate::atom::{Atom, Predicate};
-use crate::subst::Subst;
-use crate::term::{Term, Var};
-use std::collections::HashMap;
-
-/// Target atoms bucketed by predicate/arity: for each key, the indices
-/// into the target slice holding an atom with that key, ascending.
-///
-/// Callers that repeatedly search the same (evolving) target — the
-/// incremental chase engine's `BodyIndex` — maintain one of these across
-/// calls instead of letting every search rebuild it.
-pub type Buckets = HashMap<(Predicate, usize), Vec<usize>>;
-
-/// Builds the bucket map for a target slice.
-pub fn bucket_atoms(atoms: &[Atom]) -> Buckets {
-    let mut m: Buckets = HashMap::new();
-    for (i, a) in atoms.iter().enumerate() {
-        m.entry(a.key()).or_default().push(i);
-    }
-    m
-}
-
-/// A borrowed view of the search target: slot-stable atom storage plus
-/// the live buckets over it. Dead slots (the chase engine's deduplicated
-/// duplicates) are simply absent from the buckets.
-#[derive(Copy, Clone)]
-pub struct Target<'a> {
-    /// The atom storage candidates index into.
-    pub atoms: &'a [Atom],
-    /// The `(predicate, arity)` buckets over the live atoms.
-    pub buckets: &'a Buckets,
-}
-
-impl<'a> Target<'a> {
-    /// A target over `atoms` with caller-maintained `buckets`.
-    pub fn new(atoms: &'a [Atom], buckets: &'a Buckets) -> Target<'a> {
-        Target { atoms, buckets }
-    }
-}
-
-/// How a slot is seeded before the search starts.
-pub enum Seed<'a> {
-    /// No pre-bindings.
-    Empty,
-    /// Pre-bind every plan slot whose variable the substitution maps;
-    /// bindings of variables outside the plan ride along into
-    /// [`Match::to_subst`] (matching the historical `extend_homomorphism`
-    /// contract).
-    Subst(&'a Subst),
-    /// Pre-bind from a lookup closure (used by the chase engine to seed a
-    /// conclusion-extension search straight from a premise frame, with no
-    /// intermediate `Subst`). Out-of-plan bindings are *not* carried into
-    /// [`Match::to_subst`].
-    Fn(&'a dyn Fn(Var) -> Option<Term>),
-}
-
-/// Delta candidates for [`MatchPlan::search_delta`]: the recently
-/// added/rewritten target slots, grouped by predicate/arity key.
-#[derive(Default, Debug)]
-pub struct DeltaSlots {
-    by_key: HashMap<(Predicate, usize), Vec<usize>>,
-}
-
-impl DeltaSlots {
-    /// An empty delta (no search will emit anything).
-    pub fn new() -> DeltaSlots {
-        DeltaSlots::default()
-    }
-
-    /// Records `slot` (holding `atom`) as part of the delta.
-    pub fn push(&mut self, atom: &Atom, slot: usize) {
-        self.by_key.entry(atom.key()).or_default().push(slot);
-    }
-
-    /// Is the delta empty?
-    pub fn is_empty(&self) -> bool {
-        self.by_key.values().all(|v| v.is_empty())
-    }
-
-    fn get(&self, key: &(Predicate, usize)) -> Option<&[usize]> {
-        self.by_key.get(key).map(|v| v.as_slice())
-    }
-}
-
-/// One argument of a plan step.
-#[derive(Copy, Clone, Debug)]
-enum ArgOp {
-    /// The target argument must equal this term exactly.
-    Const(Term),
-    /// Bind (first occurrence on this path) or compare (already bound)
-    /// the dense slot.
-    Slot(u32),
-}
-
-/// One atom of the compiled plan. Its argument ops live in the plan's
-/// flat `ops` arena at `[ops_start, ops_start + key.1)` — one allocation
-/// for the whole plan instead of one per atom (plan compilation sits on
-/// small-query hot paths like containment and isomorphism checks).
-#[derive(Debug)]
-struct PlanStep {
-    /// Predicate/arity bucket key.
-    key: (Predicate, usize),
-    /// Offset of this step's ops in the plan's arena.
-    ops_start: u32,
-}
-
-/// A compiled source conjunction: atoms in search order, variables
-/// numbered into dense slots. Reusable across any number of searches and
-/// targets; see the module docs for the format.
-pub struct MatchPlan {
-    steps: Vec<PlanStep>,
-    /// Flat argument-op arena, indexed per step via `ops_start`/arity.
-    ops: Vec<ArgOp>,
-    /// Slot → source variable. Slot lookup is a linear scan: source
-    /// conjunctions carry at most a few dozen variables, where scanning
-    /// interned ids beats hashing.
-    vars: Vec<Var>,
-}
-
-impl MatchPlan {
-    fn step_ops(&self, step: &PlanStep) -> &[ArgOp] {
-        let start = step.ops_start as usize;
-        &self.ops[start..start + step.key.1]
-    }
-}
-
-impl MatchPlan {
-    /// Compiles `src` keeping the original atom order. Emission order is
-    /// identical to the naive backtracker's ([`mod@reference`]): use this
-    /// wherever "first match" must agree with the historical semantics.
-    pub fn new(src: &[Atom]) -> MatchPlan {
-        MatchPlan::compile(src, (0..src.len()).collect())
-    }
-
-    /// Compiles `src` with atoms greedily reordered by selectivity and
-    /// connectivity: prefer atoms whose arguments are constants or slots
-    /// already bound by the prefix (or by `bound` — variables the caller
-    /// will seed), break ties toward fewer fresh variables and then the
-    /// original position (stability). Only the *order* changes — the
-    /// emitted match set is the same as [`MatchPlan::new`]'s.
-    pub fn optimized(src: &[Atom], bound: &[Var]) -> MatchPlan {
-        MatchPlan::compile(src, MatchPlan::greedy_order(src, bound, |_| 0))
-    }
-
-    /// [`MatchPlan::optimized`] with live cardinality statistics
-    /// (Selinger-lite): among atoms the static heuristic scores equally,
-    /// scan the one with the fewest live candidates first. `card` maps a
-    /// `(predicate, arity)` key to its current candidate count — pass the
-    /// target's bucket sizes. Only the *order* changes, so this is safe
-    /// exactly where `optimized` is (existence-only / set-valued
-    /// searches).
-    pub fn optimized_with_stats(
-        src: &[Atom],
-        bound: &[Var],
-        card: &dyn Fn(&(Predicate, usize)) -> usize,
-    ) -> MatchPlan {
-        MatchPlan::compile(src, MatchPlan::greedy_order(src, bound, |a| card(&a.key())))
-    }
-
-    /// Greedy atom ordering: maximize `pinned*8 - fresh` (constants and
-    /// already-bound slots first, fewer fresh variables on ties), break
-    /// remaining ties toward the smaller candidate set per `card`, then
-    /// the original position (stability).
-    fn greedy_order(src: &[Atom], bound: &[Var], card: impl Fn(&Atom) -> usize) -> Vec<usize> {
-        let mut order: Vec<usize> = Vec::with_capacity(src.len());
-        let mut placed = vec![false; src.len()];
-        let mut known: std::collections::HashSet<Var> = bound.iter().copied().collect();
-        for _ in 0..src.len() {
-            let mut best: Option<(i64, usize, usize)> = None; // (score, card, idx)
-            for (i, atom) in src.iter().enumerate() {
-                if placed[i] {
-                    continue;
-                }
-                let mut pinned = 0i64; // constants + already-known vars
-                let mut fresh = 0i64; // distinct new vars introduced
-                let mut seen_here: Vec<Var> = Vec::new();
-                for t in &atom.args {
-                    match t {
-                        Term::Const(_) => pinned += 1,
-                        Term::Var(v) => {
-                            if known.contains(v) || seen_here.contains(v) {
-                                pinned += 1;
-                            } else {
-                                fresh += 1;
-                                seen_here.push(*v);
-                            }
-                        }
-                    }
-                }
-                // Higher is better; full ties resolve to the lowest
-                // original index because the scan is ascending and the
-                // comparisons are strict.
-                let score = pinned * 8 - fresh;
-                let c = card(atom);
-                if best.map_or(true, |(s, bc, _)| score > s || (score == s && c < bc)) {
-                    best = Some((score, c, i));
-                }
-            }
-            let (_, _, i) = best.expect("unplaced atom remains");
-            placed[i] = true;
-            known.extend(src[i].vars());
-            order.push(i);
-        }
-        order
-    }
-
-    fn compile(src: &[Atom], order: Vec<usize>) -> MatchPlan {
-        let mut vars: Vec<Var> = Vec::new();
-        let mut steps = Vec::with_capacity(order.len());
-        let mut ops: Vec<ArgOp> = Vec::with_capacity(src.iter().map(Atom::arity).sum());
-        for &i in &order {
-            let atom = &src[i];
-            let ops_start = u32::try_from(ops.len()).expect("ops overflow");
-            for t in &atom.args {
-                ops.push(match t {
-                    Term::Const(_) => ArgOp::Const(*t),
-                    Term::Var(v) => {
-                        let slot = match vars.iter().position(|w| w == v) {
-                            Some(s) => s,
-                            None => {
-                                vars.push(*v);
-                                vars.len() - 1
-                            }
-                        };
-                        ArgOp::Slot(u32::try_from(slot).expect("slot overflow"))
-                    }
-                });
-            }
-            steps.push(PlanStep { key: atom.key(), ops_start });
-        }
-        MatchPlan { steps, ops, vars }
-    }
-
-    /// Number of source atoms.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Is the source conjunction empty?
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Number of dense variable slots.
-    pub fn slot_count(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// The slot of `v`, if `v` occurs in the source conjunction.
-    pub fn slot(&self, v: Var) -> Option<u32> {
-        self.vars.iter().position(|w| *w == v).map(|s| s as u32)
-    }
-
-    /// The source variables in slot order.
-    pub fn slot_vars(&self) -> &[Var] {
-        &self.vars
-    }
-
-    /// Enumerates matches of the plan against `target`, extending `seed`.
-    /// `emit` observes each complete match; returning `false` stops the
-    /// search. Returns `false` iff `emit` stopped it.
-    pub fn search(
-        &self,
-        target: Target<'_>,
-        seed: &Seed<'_>,
-        emit: &mut dyn FnMut(&Match<'_>) -> bool,
-    ) -> bool {
-        let mut frame = Frame::new(self, seed);
-        self.run(&mut frame, target, None, usize::MAX, seed, emit)
-    }
-
-    /// [`MatchPlan::search`] restricted to matches that use at least one
-    /// target slot from `delta`. See the module docs for the pinned-pass
-    /// decomposition (matches touching several delta atoms may be emitted
-    /// once per pass).
-    pub fn search_delta(
-        &self,
-        target: Target<'_>,
-        delta: &DeltaSlots,
-        seed: &Seed<'_>,
-        emit: &mut dyn FnMut(&Match<'_>) -> bool,
-    ) -> bool {
-        let mut frame = Frame::new(self, seed);
-        for pin in 0..self.steps.len() {
-            if delta.get(&self.steps[pin].key).is_none_or(|c| c.is_empty()) {
-                continue; // nothing in the delta can satisfy this step
-            }
-            if !self.run(&mut frame, target, Some(delta), pin, seed, emit) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// First match extending `seed`, if any, materialized as a [`Subst`].
-    pub fn first_match(&self, target: Target<'_>, seed: &Seed<'_>) -> Option<Subst> {
-        let mut found = None;
-        self.search(target, seed, &mut |m| {
-            found = Some(m.to_subst());
-            false
-        });
-        found
-    }
-
-    /// Is there any match extending `seed`?
-    pub fn has_match(&self, target: Target<'_>, seed: &Seed<'_>) -> bool {
-        let mut hit = false;
-        self.search(target, seed, &mut |_| {
-            hit = true;
-            false
-        });
-        hit
-    }
-
-    /// Depth-first search from `frame`. `pin == usize::MAX` means no step
-    /// is pinned to the delta.
-    fn run(
-        &self,
-        frame: &mut Frame,
-        target: Target<'_>,
-        delta: Option<&DeltaSlots>,
-        pin: usize,
-        seed: &Seed<'_>,
-        emit: &mut dyn FnMut(&Match<'_>) -> bool,
-    ) -> bool {
-        self.run_step(frame, target, delta, pin, 0, seed, emit)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_step(
-        &self,
-        frame: &mut Frame,
-        target: Target<'_>,
-        delta: Option<&DeltaSlots>,
-        pin: usize,
-        depth: usize,
-        seed: &Seed<'_>,
-        emit: &mut dyn FnMut(&Match<'_>) -> bool,
-    ) -> bool {
-        if depth == self.steps.len() {
-            return emit(&Match { plan: self, slots: &frame.slots, seed });
-        }
-        let step = &self.steps[depth];
-        let cands: &[usize] = if depth == pin {
-            delta.and_then(|d| d.get(&step.key)).unwrap_or(&[])
-        } else {
-            target.buckets.get(&step.key).map(|v| v.as_slice()).unwrap_or(&[])
-        };
-        for &j in cands {
-            let mark = frame.trail.len();
-            if frame.try_bind(self.step_ops(step), &target.atoms[j]) {
-                let keep_going = self.run_step(frame, target, delta, pin, depth + 1, seed, emit);
-                frame.undo_to(mark);
-                if !keep_going {
-                    return false;
-                }
-            } else {
-                frame.undo_to(mark);
-            }
-        }
-        true
-    }
-}
-
-/// The reusable search state: dense slot array plus undo trail. See the
-/// module docs for the invariants.
-struct Frame {
-    /// Slot values; meaningful only where `bound`.
-    slots: Vec<Term>,
-    /// Which slots hold a binding (seeded or trail-recorded).
-    bound: Vec<bool>,
-    /// Slots bound since the search started, in binding order.
-    trail: Vec<u32>,
-}
-
-impl Frame {
-    fn new(plan: &MatchPlan, seed: &Seed<'_>) -> Frame {
-        let n = plan.vars.len();
-        // Unbound slots carry their own variable as a placeholder, so a
-        // fully seeded frame doubles as the identity on untouched vars.
-        let mut slots: Vec<Term> = plan.vars.iter().map(|v| Term::Var(*v)).collect();
-        let mut bound = vec![false; n];
-        match seed {
-            Seed::Empty => {}
-            Seed::Subst(s) => {
-                for (slot, v) in plan.vars.iter().enumerate() {
-                    if let Some(t) = s.get(*v) {
-                        slots[slot] = *t;
-                        bound[slot] = true;
-                    }
-                }
-            }
-            Seed::Fn(f) => {
-                for (slot, v) in plan.vars.iter().enumerate() {
-                    if let Some(t) = f(*v) {
-                        slots[slot] = t;
-                        bound[slot] = true;
-                    }
-                }
-            }
-        }
-        Frame { slots, bound, trail: Vec::with_capacity(n) }
-    }
-
-    /// Unifies the step's ops against the target atom, recording new
-    /// bindings on the trail. On `false` the caller must `undo_to` its
-    /// entry mark (partial bindings may have been trailed).
-    fn try_bind(&mut self, ops: &[ArgOp], atom: &Atom) -> bool {
-        debug_assert_eq!(ops.len(), atom.args.len());
-        for (op, dt) in ops.iter().zip(atom.args.iter()) {
-            match op {
-                ArgOp::Const(c) => {
-                    if dt != c {
-                        return false;
-                    }
-                }
-                ArgOp::Slot(s) => {
-                    let s = *s as usize;
-                    if self.bound[s] {
-                        if self.slots[s] != *dt {
-                            return false;
-                        }
-                    } else {
-                        self.slots[s] = *dt;
-                        self.bound[s] = true;
-                        self.trail.push(s as u32);
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Pops trail entries back to `mark`. The stale slot values are left
-    /// in place — a slot is only ever read where `bound`, and emit
-    /// callbacks observe frames with every plan slot bound.
-    fn undo_to(&mut self, mark: usize) {
-        while self.trail.len() > mark {
-            let s = self.trail.pop().expect("trail underflow") as usize;
-            self.bound[s] = false;
-        }
-    }
-}
-
-/// A complete match, viewed directly over the frame's slot array. Valid
-/// only for the duration of the emit callback.
-pub struct Match<'a> {
-    plan: &'a MatchPlan,
-    slots: &'a [Term],
-    seed: &'a Seed<'a>,
-}
-
-impl Match<'_> {
-    /// The slot values in slot order — all bound at emission time. Two
-    /// matches with equal slot slices are the same variable binding, so
-    /// this slice is the allocation-free dedup key.
-    pub fn slots(&self) -> &[Term] {
-        self.slots
-    }
-
-    /// The image of `v`, if `v` has a slot in the plan.
-    pub fn get(&self, v: Var) -> Option<Term> {
-        self.plan.slot(v).map(|s| self.slots[s as usize])
-    }
-
-    /// Applies the match to a term (unbound/foreign variables map to
-    /// themselves, like [`Subst::apply_term`]).
-    pub fn apply_term(&self, t: &Term) -> Term {
-        match t {
-            Term::Var(v) => self.get(*v).unwrap_or(*t),
-            Term::Const(_) => *t,
-        }
-    }
-
-    /// Applies the match to an atom.
-    pub fn apply_atom(&self, a: &Atom) -> Atom {
-        Atom { pred: a.pred, args: a.args.iter().map(|t| self.apply_term(t)).collect() }
-    }
-
-    /// Materializes the match as a [`Subst`]: the slot bindings, plus —
-    /// for [`Seed::Subst`] — the seed's out-of-plan bindings (the
-    /// historical `extend_homomorphism` contract).
-    pub fn to_subst(&self) -> Subst {
-        let mut out = match self.seed {
-            Seed::Subst(s) => (*s).clone(),
-            Seed::Empty | Seed::Fn(_) => Subst::new(),
-        };
-        for (slot, v) in self.plan.vars.iter().enumerate() {
-            out.set(*v, self.slots[slot]);
-        }
-        out
-    }
-}
-
-/// Runs independent jobs on scoped worker threads, returning their
-/// results in submission order. The chase engine's speculative dependency
-/// probes go through here; each job must only read shared state.
-///
-/// Jobs beyond the first run on spawned threads; the first runs on the
-/// caller's thread (no spawn cost for the sequential case and exactly
-/// `jobs.len() - 1` threads otherwise).
-pub fn probe_all<R: Send>(jobs: Vec<Box<dyn FnOnce() -> R + Send + '_>>) -> Vec<R> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    if jobs.len() == 1 {
-        return jobs.into_iter().map(|j| j()).collect();
-    }
-    std::thread::scope(|scope| {
-        let mut jobs = jobs.into_iter();
-        let first = jobs.next().expect("nonempty");
-        let handles: Vec<_> = jobs.map(|j| scope.spawn(j)).collect();
-        let mut out = Vec::with_capacity(handles.len() + 1);
-        out.push(first());
-        for h in handles {
-            out.push(h.join().expect("probe worker panicked"));
-        }
-        out
-    })
-}
+//! * [`mod@reference`] — the naive backtracker the workspace started
+//!   with, walking source atoms in their written order and cloning a
+//!   `HashMap`-backed [`crate::Subst`] per seed. It is the differential
+//!   oracle (`tests/tests/matcher_differential.rs`) and the search of the
+//!   reference chase drivers, so it stays independent of the arena.
+//! * [`ProbePool`] — the run-long worker pool the chase engine fans its
+//!   speculative dependency probes out on. The lowest-indexed actionable
+//!   probe commits, preserving the reference firing order exactly, and
+//!   "no match" verdicts for the others are retired wholesale, since every
+//!   probe ran against the same immutable body snapshot.
 
 /// A run-long pool of parked worker threads for speculative probes.
 ///
-/// [`probe_all`] spawns (and joins) `k - 1` scoped threads on **every**
-/// chase step, which swamps the probe payoff on small steps. A
-/// `ProbePool` pays the spawn cost once per run: workers park on a
-/// condvar and [`ProbePool::run`] hands them jobs per step, blocking
-/// until every job has finished — the same barrier semantics as
-/// `probe_all`, with identical submission-order results (the first job
-/// still runs on the caller's thread). Worker panics are caught and
-/// re-raised on the caller.
+/// Spawning `k - 1` scoped threads on **every** chase step would swamp
+/// the probe payoff on small steps, so a `ProbePool` pays the spawn cost
+/// once per run: workers park on a condvar and [`ProbePool::run`] hands
+/// them jobs per step, blocking until every job has finished and
+/// returning results in submission order (the first job runs on the
+/// caller's thread). Worker panics are caught and re-raised on the
+/// caller.
 pub struct ProbePool {
     shared: std::sync::Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -744,129 +162,29 @@ impl Drop for ProbePool {
     }
 }
 
-/// Query isomorphism search routed through the plan machinery: a
-/// bijective variable pairing carrying `src` onto a sub-multiset of
-/// `dst_atoms` that uses every target exactly once (size mismatches are
-/// rejected up front), seeded by the head pairs. Returns the
-/// witnessing forward map. Unlike the homomorphism frame this tracks a
-/// reverse binding and a used-target mask, both trail-undone.
-pub fn find_bijection(
-    src: &[Atom],
-    src_head: &[Term],
-    dst_atoms: &[Atom],
-    dst_head: &[Term],
-) -> Option<HashMap<Var, Var>> {
-    // Reference-order plan: the O(n) compile beats the greedy reorder's
-    // payoff on the small bodies this runs against (the chase-cache hit
-    // path does an isomorphism check per probe), and the injective
-    // used-mask already prunes hard.
-    // Guard both documented preconditions here: a size mismatch would
-    // otherwise let match_steps succeed with target atoms left unused —
-    // an injective-but-not-surjective map passed off as an isomorphism.
-    if src.len() != dst_atoms.len() || src_head.len() != dst_head.len() {
-        return None;
-    }
-    let plan = MatchPlan::new(src);
-    let mut iso = IsoFrame {
-        fwd: HashMap::new(),
-        bwd: HashMap::new(),
-        used: vec![false; dst_atoms.len()],
-        trail: Vec::new(),
-    };
-    for (s, t) in src_head.iter().zip(dst_head.iter()) {
-        if !iso.pair_terms(s, t) {
-            return None;
-        }
-    }
-    iso.match_steps(&plan, dst_atoms, 0).then(|| iso.fwd.clone())
-}
-
-struct IsoFrame {
-    fwd: HashMap<Var, Var>,
-    bwd: HashMap<Var, Var>,
-    used: Vec<bool>,
-    /// Source vars bound since the start, for undo.
-    trail: Vec<Var>,
-}
-
-impl IsoFrame {
-    /// Pairs `s ↔ t` under the bijection; records new pairs on the trail.
-    /// On `false` the caller undoes to its mark.
-    fn pair_terms(&mut self, s: &Term, t: &Term) -> bool {
-        match (s, t) {
-            (Term::Const(c), Term::Const(d)) => c == d,
-            (Term::Var(a), Term::Var(b)) => match (self.fwd.get(a), self.bwd.get(b)) {
-                (Some(b0), _) => b0 == b,
-                (None, Some(_)) => false, // b already paired with another var
-                (None, None) => {
-                    self.fwd.insert(*a, *b);
-                    self.bwd.insert(*b, *a);
-                    self.trail.push(*a);
-                    true
-                }
-            },
-            _ => false,
-        }
-    }
-
-    fn undo_to(&mut self, mark: usize) {
-        while self.trail.len() > mark {
-            let a = self.trail.pop().expect("trail underflow");
-            if let Some(b) = self.fwd.remove(&a) {
-                self.bwd.remove(&b);
-            }
-        }
-    }
-
-    fn match_steps(&mut self, plan: &MatchPlan, dst: &[Atom], depth: usize) -> bool {
-        if depth == plan.steps.len() {
-            return true;
-        }
-        let step = &plan.steps[depth];
-        // Linear candidate scan with a key filter: iso targets are the
-        // same (small) size as the source, so the bucket map a
-        // homomorphism search amortizes would cost more than it saves.
-        for j in 0..dst.len() {
-            if self.used[j] || dst[j].key() != step.key {
-                continue;
-            }
-            let mark = self.trail.len();
-            let mut ok = true;
-            for (op, dt) in plan.step_ops(step).iter().zip(dst[j].args.iter()) {
-                let st = match op {
-                    ArgOp::Const(c) => *c,
-                    ArgOp::Slot(s) => Term::Var(plan.vars[*s as usize]),
-                };
-                if !self.pair_terms(&st, dt) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                self.used[j] = true;
-                if self.match_steps(plan, dst, depth + 1) {
-                    return true;
-                }
-                self.used[j] = false;
-            }
-            self.undo_to(mark);
-        }
-        false
-    }
-}
-
 pub mod reference {
     //! The naive backtracking homomorphism search — the seed
-    //! implementation, preserved verbatim as the differential-testing
-    //! oracle for the planned matcher. Every search clones a
-    //! `HashMap`-backed [`Subst`] per seed and walks the source atoms in
-    //! their written order; its value is being obviously correct and
-    //! independently derived. Do not "optimize" this module.
+    //! implementation, preserved as the differential-testing oracle for
+    //! the planned matcher ([`crate::arena::ArenaPlan`]). Every search
+    //! clones a `HashMap`-backed [`Subst`] per seed and walks the source
+    //! atoms in their written order; its value is being obviously correct
+    //! and independently derived. Do not "optimize" this module.
 
-    use super::Buckets;
-    use crate::atom::Atom;
+    use crate::atom::{Atom, Predicate};
     use crate::subst::Subst;
     use crate::term::{Term, Var};
+    use std::collections::HashMap;
+
+    /// Target atom indices per `(predicate, arity)` key, ascending.
+    type Buckets = HashMap<(Predicate, usize), Vec<usize>>;
+
+    fn by_key(atoms: &[Atom]) -> Buckets {
+        let mut m: Buckets = HashMap::new();
+        for (i, a) in atoms.iter().enumerate() {
+            m.entry(a.key()).or_default().push(i);
+        }
+        m
+    }
 
     /// Tries to unify the source atom with the target atom under `s`,
     /// mutating `s`. Returns the bindings added (for backtracking) or
@@ -935,23 +253,22 @@ pub mod reference {
     }
 
     /// Lazily enumerates homomorphisms from `src` into `dst` extending
-    /// `seed`, restricted to the target atoms listed in `buckets`.
+    /// `seed`, in the written atom order; returning `false` from `emit`
+    /// stops the search.
     pub fn search_homomorphisms(
         src: &[Atom],
         dst: &[Atom],
-        buckets: &Buckets,
         seed: &Subst,
         emit: &mut dyn FnMut(&Subst) -> bool,
     ) {
         let mut s = seed.clone();
-        search(src, dst, buckets, 0, &mut s, emit);
+        search(src, dst, &by_key(dst), 0, &mut s, emit);
     }
 
     /// First homomorphism extending `seed`, if any.
     pub fn extend_homomorphism(src: &[Atom], dst: &[Atom], seed: &Subst) -> Option<Subst> {
-        let buckets = super::bucket_atoms(dst);
         let mut found = None;
-        search_homomorphisms(src, dst, &buckets, seed, &mut |h| {
+        search_homomorphisms(src, dst, seed, &mut |h| {
             found = Some(h.clone());
             false
         });
@@ -965,9 +282,8 @@ pub mod reference {
         seed: &Subst,
         pred: &mut dyn FnMut(&Subst) -> bool,
     ) -> Option<Subst> {
-        let buckets = super::bucket_atoms(dst);
         let mut found = None;
-        search_homomorphisms(src, dst, &buckets, seed, &mut |h| {
+        search_homomorphisms(src, dst, seed, &mut |h| {
             if pred(h) {
                 found = Some(h.clone());
                 false
@@ -988,12 +304,11 @@ pub mod reference {
         seed: &Subst,
         cap: usize,
     ) -> (Vec<Subst>, bool) {
-        let buckets = super::bucket_atoms(dst);
         let mut out: Vec<Subst> = Vec::new();
         let mut truncated = false;
         let mut seen: std::collections::HashSet<Vec<(Var, Term)>> =
             std::collections::HashSet::new();
-        search_homomorphisms(src, dst, &buckets, seed, &mut |h| {
+        search_homomorphisms(src, dst, seed, &mut |h| {
             if seen.insert(h.sorted_pairs()) {
                 if out.len() == cap {
                     truncated = true;
@@ -1011,117 +326,8 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use crate::query::CqQuery;
-
-    fn q(s: &str) -> CqQuery {
-        parse_query(s).unwrap()
-    }
-
-    fn all_planned(src: &[Atom], dst: &[Atom], seed: &Subst) -> Vec<Subst> {
-        let buckets = bucket_atoms(dst);
-        let plan = MatchPlan::new(src);
-        let mut out = Vec::new();
-        plan.search(Target::new(dst, &buckets), &Seed::Subst(seed), &mut |m| {
-            out.push(m.to_subst());
-            true
-        });
-        out
-    }
-
-    #[test]
-    fn plan_search_matches_reference_emission_order() {
-        let src = q("q() :- p(X,Y), p(Y,Z)").body;
-        let dst = q("q() :- p(1,2), p(2,3), p(2,2)").body;
-        let planned = all_planned(&src, &dst, &Subst::new());
-        let buckets = bucket_atoms(&dst);
-        let mut naive = Vec::new();
-        reference::search_homomorphisms(&src, &dst, &buckets, &Subst::new(), &mut |h| {
-            naive.push(h.clone());
-            true
-        });
-        assert_eq!(planned, naive);
-    }
-
-    #[test]
-    fn seeded_search_carries_out_of_plan_bindings() {
-        let src = q("q() :- p(X)").body;
-        let dst = q("q() :- p(1)").body;
-        let seed =
-            Subst::from_pairs([(Var::new("Z"), Term::int(9)), (Var::new("X"), Term::int(1))]);
-        let hs = all_planned(&src, &dst, &seed);
-        assert_eq!(hs.len(), 1);
-        assert_eq!(hs[0].get(Var::new("Z")), Some(&Term::int(9)));
-        // A conflicting seed kills the only candidate.
-        let bad = Subst::from_pairs([(Var::new("X"), Term::int(2))]);
-        assert!(all_planned(&src, &dst, &bad).is_empty());
-    }
-
-    #[test]
-    fn optimized_plan_emits_the_same_match_set() {
-        let src = q("q() :- a(X,Y), b(Y,3), c(Y)").body;
-        let dst = q("q() :- a(1,2), a(2,2), b(2,3), c(2), b(1,4)").body;
-        let by_plan: std::collections::HashSet<Vec<(Var, Term)>> =
-            all_planned(&src, &dst, &Subst::new()).iter().map(Subst::sorted_pairs).collect();
-        let plan = MatchPlan::optimized(&src, &[]);
-        let buckets = bucket_atoms(&dst);
-        let mut opt: std::collections::HashSet<Vec<(Var, Term)>> = std::collections::HashSet::new();
-        plan.search(Target::new(&dst, &buckets), &Seed::Empty, &mut |m| {
-            opt.insert(m.to_subst().sorted_pairs());
-            true
-        });
-        assert_eq!(by_plan, opt);
-        // And the optimized order leads with the constant-bearing b-atom.
-        assert_eq!(plan.steps[0].key.0, crate::atom::Predicate::new("b"));
-    }
-
-    #[test]
-    fn delta_search_requires_a_delta_atom() {
-        let src = q("q() :- e(X,Y)").body;
-        let dst = q("q() :- e(1,2), e(2,3), e(3,4)").body;
-        let buckets = bucket_atoms(&dst);
-        let plan = MatchPlan::new(&src);
-        let mut delta = DeltaSlots::new();
-        delta.push(&dst[2], 2); // only the newest atom is "new"
-        let mut hits = Vec::new();
-        plan.search_delta(Target::new(&dst, &buckets), &delta, &Seed::Empty, &mut |m| {
-            hits.push(m.to_subst());
-            true
-        });
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].get(Var::new("X")), Some(&Term::int(3)));
-    }
-
-    #[test]
-    fn empty_plan_emits_once_and_never_under_delta() {
-        let dst = q("q() :- p(1)").body;
-        let buckets = bucket_atoms(&dst);
-        let plan = MatchPlan::new(&[]);
-        let mut n = 0;
-        plan.search(Target::new(&dst, &buckets), &Seed::Empty, &mut |_| {
-            n += 1;
-            true
-        });
-        assert_eq!(n, 1);
-        let mut nd = 0;
-        plan.search_delta(
-            Target::new(&dst, &buckets),
-            &DeltaSlots::new(),
-            &Seed::Empty,
-            &mut |_| {
-                nd += 1;
-                true
-            },
-        );
-        assert_eq!(nd, 0, "an empty conjunction can never touch the delta");
-    }
-
-    #[test]
-    fn probe_all_preserves_submission_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..7usize)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        assert_eq!(probe_all(jobs), vec![0, 1, 4, 9, 16, 25, 36]);
-    }
+    use crate::subst::Subst;
+    use crate::term::Term;
 
     #[test]
     fn probe_pool_preserves_submission_order_and_reuses_workers() {
@@ -1150,38 +356,47 @@ mod tests {
     }
 
     #[test]
-    fn stats_ordering_changes_order_not_matches() {
-        // Two all-fresh atoms: static heuristic ties; cardinality breaks
-        // toward the small bucket.
-        let src = q("q() :- big(X,Y), small(Y,Z)").body;
-        let mut dst = q("q() :- small(7,8)").body;
-        for i in 0..9 {
-            dst.extend(q(&format!("q() :- big({i},{i})")).body);
+    fn enumeration_reports_truncation() {
+        // 2^18 = 262144 > MAX_HOMOMORPHISMS homomorphisms: 18 independent
+        // source atoms with 2 candidates each.
+        use crate::atom::Atom;
+        use crate::hom::MAX_HOMOMORPHISMS;
+        let src_body: Vec<Atom> = (0..18)
+            .map(|i| Atom::new(&format!("p{i}"), vec![Term::var(&format!("X{i}"))]))
+            .collect();
+        let mut dst_body: Vec<Atom> = Vec::new();
+        for i in 0..18 {
+            dst_body.push(Atom::new(&format!("p{i}"), vec![Term::int(0)]));
+            dst_body.push(Atom::new(&format!("p{i}"), vec![Term::int(1)]));
         }
-        let buckets = bucket_atoms(&dst);
-        let card = |k: &(Predicate, usize)| buckets.get(k).map_or(0, |b| b.len());
-        let plan = MatchPlan::optimized_with_stats(&src, &[], &card);
-        assert_eq!(plan.steps[0].key.0, Predicate::new("small"));
-        // Identical match sets either way.
-        let base: std::collections::HashSet<Vec<(Var, Term)>> =
-            all_planned(&src, &dst, &Subst::new()).iter().map(Subst::sorted_pairs).collect();
-        let mut with_stats = std::collections::HashSet::new();
-        plan.search(Target::new(&dst, &buckets), &Seed::Empty, &mut |m| {
-            with_stats.insert(m.to_subst().sorted_pairs());
-            true
-        });
-        assert_eq!(base, with_stats);
+        let (homs, truncated) = reference::enumerate_homomorphisms(
+            &src_body,
+            &dst_body,
+            &Subst::new(),
+            MAX_HOMOMORPHISMS,
+        );
+        assert!(truncated);
+        assert_eq!(homs.len(), MAX_HOMOMORPHISMS);
+        // A small instance is complete and unflagged.
+        let (small, truncated) = reference::enumerate_homomorphisms(
+            &src_body[..2],
+            &dst_body[..4],
+            &Subst::new(),
+            MAX_HOMOMORPHISMS,
+        );
+        assert!(!truncated);
+        assert_eq!(small.len(), 4);
     }
 
     #[test]
-    fn bijection_search_finds_renamings_only() {
-        let a = q("q(X) :- p(X,Y), s(Y,Z)");
-        let b = q("q(A) :- s(B,C), p(A,B)");
-        let m = find_bijection(&a.body, &a.head, &b.body, &b.head).expect("isomorphic");
-        assert_eq!(m.get(&Var::new("X")), Some(&Var::new("A")));
-        assert_eq!(m.get(&Var::new("Y")), Some(&Var::new("B")));
-        // Collapsing map is not a bijection.
-        let c = q("q(X) :- p(X,X), s(X,X)");
-        assert!(find_bijection(&a.body, &a.head, &c.body, &c.head).is_none());
+    fn enumeration_counts_targets_and_dedups_bindings() {
+        let src = parse_query("q() :- p(X)").unwrap().body;
+        let three = parse_query("q() :- p(A), p(B), p(C)").unwrap().body;
+        let (homs, _) = reference::enumerate_homomorphisms(&src, &three, &Subst::new(), 10);
+        assert_eq!(homs.len(), 3);
+        // Duplicate target atoms yield the same variable mapping.
+        let dup = parse_query("q() :- p(A), p(A)").unwrap().body;
+        let (homs, _) = reference::enumerate_homomorphisms(&src, &dup, &Subst::new(), 10);
+        assert_eq!(homs.len(), 1);
     }
 }

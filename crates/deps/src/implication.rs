@@ -11,8 +11,8 @@
 //! via a callback to avoid a dependency cycle.)
 
 use crate::dependency::{Dependency, Egd, Tgd};
-use eqsql_cq::matcher::{bucket_atoms, MatchPlan, Seed, Target};
-use eqsql_cq::{CqQuery, Subst, Term, Var};
+use eqsql_cq::arena::with_scratch;
+use eqsql_cq::{ArenaFrame, ArenaPlan, CqQuery, Subst, Term, Var};
 
 /// The premise of `dep` as a query to be chased: head = the universally
 /// quantified variables (so egd merges of them remain observable).
@@ -43,9 +43,13 @@ pub fn conclusion_holds(dep: &Dependency, chased: &CqQuery, renaming: &Subst) ->
             let seed = Subst::from_pairs(
                 universal.iter().map(|v| (*v, renaming.apply_term(&Term::Var(*v)))),
             );
-            let plan = MatchPlan::optimized(rhs, &universal);
-            let buckets = bucket_atoms(&chased.body);
-            plan.has_match(Target::new(&chased.body, &buckets), &Seed::Subst(&seed))
+            with_scratch(|arena| {
+                arena.push_atoms(&chased.body);
+                let plan = ArenaPlan::optimized(rhs, &universal, arena);
+                let mut frame = ArenaFrame::for_plan(&plan);
+                frame.seed_subst(&plan, arena, &seed);
+                plan.has_match(arena, &mut frame)
+            })
         }
     }
 }

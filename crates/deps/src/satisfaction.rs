@@ -11,48 +11,54 @@
 //!   multiplicities, matching the paper's `D ⊨ Σ` for bag-valued `D`.
 
 use crate::dependency::{Dependency, DependencySet, Egd, Tgd};
-use eqsql_cq::matcher::{bucket_atoms, MatchPlan, Seed, Target};
-use eqsql_cq::{Atom, CqQuery, Term, Value, Var};
+use eqsql_cq::arena::with_scratch;
+use eqsql_cq::{ArenaFrame, ArenaPlan, Atom, CqQuery, Term, Value, Var};
 use eqsql_relalg::eval::{assignments, Assignment};
 use eqsql_relalg::Database;
 
 /// Does the canonical database of `q` satisfy the tgd?
 ///
-/// Streams premise matches off the planned matcher with the conclusion
-/// probe threaded in, short-circuiting at the first unwitnessed match —
-/// the historical path materialized (and silently capped!) the full
-/// premise homomorphism set before looking at one. Plans are ordered by
-/// the body's live bucket sizes ([`MatchPlan::optimized_with_stats`],
-/// Selinger-lite) — safe for these existence-only searches. The
-/// extension seed covers exactly the premise variables, so the tgd's
-/// existential variables stay free, as Definition 2.x requires.
+/// Streams premise matches off the planned matcher, over `q`'s body in
+/// the thread's scratch arena, with the conclusion probe threaded in:
+/// the search stops at the first unwitnessed premise match. Plans are
+/// ordered by the body's live table sizes
+/// ([`ArenaPlan::optimized_with_stats`], Selinger-lite) — safe for these
+/// existence-only searches. The extension seed covers exactly the premise
+/// variables, so the tgd's existential variables stay free, as
+/// Definition 2.x requires.
 pub fn query_satisfies_tgd(q: &CqQuery, tgd: &Tgd) -> bool {
-    let buckets = bucket_atoms(&q.body);
-    let target = Target::new(&q.body, &buckets);
-    let card = |key: &(eqsql_cq::Predicate, usize)| buckets.get(key).map_or(0, Vec::len);
-    let premise = MatchPlan::optimized_with_stats(&tgd.lhs, &[], &card);
-    let universal: Vec<Var> = tgd.universal_vars().into_iter().collect();
-    let conclusion = MatchPlan::optimized_with_stats(&tgd.rhs, &universal, &card);
-    let mut satisfied = true;
-    premise.search(target, &Seed::Empty, &mut |m| {
-        satisfied = conclusion.has_match(target, &Seed::Fn(&|v| m.get(v)));
-        satisfied // stop at the first unwitnessed premise match
-    });
-    satisfied
+    with_scratch(|arena| {
+        arena.push_atoms(&q.body);
+        let premise = ArenaPlan::optimized_with_stats(&tgd.lhs, &[], arena);
+        let universal: Vec<Var> = tgd.universal_vars().into_iter().collect();
+        let conclusion = ArenaPlan::optimized_with_stats(&tgd.rhs, &universal, arena);
+        let seed = conclusion.seed_map_from(&premise);
+        let (mut pf, mut cf) = (ArenaFrame::for_plan(&premise), ArenaFrame::new());
+        let mut satisfied = true;
+        premise.search(arena, &mut pf, &mut |slots| {
+            cf.reset(conclusion.slot_count());
+            cf.seed_from(&seed, slots);
+            satisfied = conclusion.has_match(arena, &mut cf);
+            satisfied // stop at the first unwitnessed premise match
+        });
+        satisfied
+    })
 }
 
 /// Does the canonical database of `q` satisfy the egd?
 pub fn query_satisfies_egd(q: &CqQuery, egd: &Egd) -> bool {
-    let buckets = bucket_atoms(&q.body);
-    let target = Target::new(&q.body, &buckets);
-    let card = |key: &(eqsql_cq::Predicate, usize)| buckets.get(key).map_or(0, Vec::len);
-    let premise = MatchPlan::optimized_with_stats(&egd.lhs, &[], &card);
-    let mut satisfied = true;
-    premise.search(target, &Seed::Empty, &mut |m| {
-        satisfied = m.apply_term(&egd.eq.0) == m.apply_term(&egd.eq.1);
-        satisfied // stop at the first violation
-    });
-    satisfied
+    with_scratch(|arena| {
+        arena.push_atoms(&q.body);
+        let premise = ArenaPlan::optimized_with_stats(&egd.lhs, &[], arena);
+        let (lhs, rhs) = (premise.eq_op(&egd.eq.0, arena), premise.eq_op(&egd.eq.1, arena));
+        let mut frame = ArenaFrame::for_plan(&premise);
+        let mut satisfied = true;
+        premise.search(arena, &mut frame, &mut |slots| {
+            satisfied = lhs.resolve(arena, slots) == rhs.resolve(arena, slots);
+            satisfied // stop at the first violation
+        });
+        satisfied
+    })
 }
 
 /// Does the canonical database of `q` satisfy the dependency?

@@ -33,7 +33,7 @@
 //! ## Concurrency
 //!
 //! The cache is sharded by key; each shard is an independent mutex, so
-//! worker threads of a [`crate::batch::BatchSession`] rarely contend.
+//! the worker threads of a [`crate::Solver`] batch rarely contend.
 //! Chases run *outside* any lock — a racing duplicate computation is
 //! possible (and harmless: last writer wins, the loser's result is simply
 //! returned uncached). Hit/miss/eviction counters are atomics. Eviction is

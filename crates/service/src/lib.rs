@@ -64,8 +64,6 @@
 //!   terminal results (see the cache-key soundness notes in [`cache`]),
 //!   with an optional disk tier ([`cache::persist`]) that survives
 //!   restarts;
-//! * [`batch`] — [`BatchSession`], the legacy pairwise-equivalence batch
-//!   API, now a thin veneer over a counterexample-free [`Solver`];
 //! * [`request`] — the newline-delimited request-file format of the
 //!   `eqsql-serve` binary, covering the full verb family (`pair`/
 //!   `equivalent`, `contains`, `minimal`, `cnb`, `implies`) with
@@ -211,7 +209,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod batch;
 pub mod cache;
 pub mod canon;
 pub mod error;
@@ -219,7 +216,6 @@ pub mod evidence;
 pub mod request;
 pub mod solver;
 
-pub use batch::{BatchOutcome, BatchSession, BatchStats, EquivRequest};
 // Re-exported so Solver callers can speak the façade's full vocabulary
 // (semantics, budgets, engine knobs) without importing substrate crates.
 pub use cache::persist::{PersistConfig, PersistFault, PersistStats};

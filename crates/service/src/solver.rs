@@ -954,21 +954,10 @@ impl Solver {
         &self.config
     }
 
-    /// The shared chase-cache handle (e.g. to hand to another Solver or a
-    /// [`crate::BatchSession`]).
+    /// The shared chase-cache handle (e.g. to hand to another Solver via
+    /// [`SolverBuilder::cache`]).
     pub fn cache(&self) -> &Arc<ChaseCache> {
         &self.cache
-    }
-
-    /// Swaps the cache handle (context keys are cache-independent, so this
-    /// is free). Used by [`crate::BatchSession::with_cache`].
-    pub(crate) fn set_cache(&mut self, cache: Arc<ChaseCache>) {
-        self.cache = cache;
-    }
-
-    /// Adjusts the worker-thread count after construction.
-    pub(crate) fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// One coherent counter snapshot: cache hit/miss/eviction plus the
@@ -1934,6 +1923,86 @@ mod tests {
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.batches, 1);
         assert!(stats.cache.misses > 0);
+    }
+
+    /// Six Σ-equivalence pairs over Example 4.1, mixed semantics, and
+    /// whether each is equivalent.
+    fn equivalence_pairs() -> Vec<(Request, bool)> {
+        let q1 = q("q1(X) :- p(X,Y), t(X,Y,W), s(X,Z), r(X), u(X,U)");
+        let q2 = q("q2(X) :- p(X,Y), t(X,Y,W), s(X,Z), r(X)");
+        let q3 = q("q3(X) :- p(X,Y), t(X,Y,W), s(X,Z)");
+        let q4 = q("q4(X) :- p(X,Y)");
+        let pair = |a: &CqQuery, sem| Request::Equivalent {
+            q1: a.clone(),
+            q2: q4.clone(),
+            opts: RequestOpts::with_sem(sem),
+        };
+        vec![
+            (pair(&q1, Semantics::Set), true),
+            (pair(&q1, Semantics::Bag), false),
+            (pair(&q3, Semantics::Bag), true),
+            (pair(&q2, Semantics::BagSet), true),
+            (pair(&q2, Semantics::Bag), false),
+            (pair(&q3, Semantics::Set), true),
+        ]
+    }
+
+    fn equivalent(v: &Result<Verdict, Error>) -> bool {
+        match &v.as_ref().expect("decided").answer {
+            Answer::Equivalent { .. } => true,
+            Answer::NotEquivalent { .. } => false,
+            other => panic!("equivalence request answered with {other:?}"),
+        }
+    }
+
+    #[test]
+    fn equivalence_batches_agree_across_thread_counts() {
+        let (sigma, schema) = example_4_1();
+        let (reqs, want): (Vec<Request>, Vec<bool>) = equivalence_pairs().into_iter().unzip();
+        for threads in [1, 4, 8] {
+            let s = Solver::builder(sigma.clone(), schema.clone())
+                .counterexamples(false)
+                .threads(threads)
+                .build();
+            let report = s.decide_all(&reqs);
+            let got: Vec<bool> = report.verdicts.iter().map(equivalent).collect();
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn shared_sigma_amortizes_chases_across_pairs() {
+        let (sigma, schema) = example_4_1();
+        let s = Solver::builder(sigma, schema).counterexamples(false).build();
+        let reqs: Vec<Request> = equivalence_pairs().into_iter().map(|(r, _)| r).collect();
+        // 6 pairs → 12 chases demanded; q4 recurs per semantics, q1/q2
+        // recur across semantics rows, so the cache must absorb repeats.
+        let report = s.decide_all(&reqs);
+        assert!(report.stats.cache_hits >= 3, "{:?}", report.stats);
+        // A second identical batch is served entirely from cache.
+        let again = s.decide_all(&reqs);
+        assert_eq!(again.stats.cache_misses, 0, "{:?}", again.stats);
+    }
+
+    #[test]
+    fn budget_outcomes_flow_through_batches() {
+        let sigma = parse_dependencies("e(X,Y) -> e(Y,Z).").unwrap();
+        let schema = Schema::all_bags(&[("e", 2)]);
+        // Single worker so the second pair deterministically probes the
+        // budget-exhaustion outcome the first pair cached.
+        let s = Solver::builder(sigma, schema)
+            .chase_config(ChaseConfig::with_max_steps(10))
+            .counterexamples(false)
+            .build();
+        let req = Request::Equivalent {
+            q1: q("q(X) :- e(X,Y)"),
+            q2: q("q(X) :- e(X,Y), e(Y,Z)"),
+            opts: RequestOpts::with_sem(Semantics::Set),
+        };
+        let report = s.decide_all(&[req.clone(), req]);
+        assert!(report.verdicts.iter().all(|v| matches!(v, Err(Error::BudgetExhausted { .. }))));
+        // The second pair's chase was served from the cached failure.
+        assert!(report.stats.cache_hits >= 1, "{:?}", report.stats);
     }
 
     #[test]

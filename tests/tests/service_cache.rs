@@ -17,7 +17,7 @@ use eqsql_gen::random_weakly_acyclic_sigma;
 use eqsql_gen::rename_isomorphic;
 use eqsql_gen::sigma::SigmaParams;
 use eqsql_relalg::{Schema, Semantics};
-use eqsql_service::{BatchSession, ChaseCache, EquivRequest};
+use eqsql_service::{Answer, ChaseCache, Request, RequestOpts, Solver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -199,7 +199,8 @@ fn batched_verdicts_match_unbatched_across_threads() {
     );
     let config = ChaseConfig::default();
     let params = QueryParams { atoms: 3, vars: 4, const_prob: 0.1, const_domain: 3, max_head: 2 };
-    let mut pairs: Vec<EquivRequest> = Vec::new();
+    let mut pairs: Vec<Request> = Vec::new();
+    let mut expected: Vec<EquivOutcome> = Vec::new();
     for i in 0..24 {
         let q1: CqQuery = random_query(&mut rng, &schema, &params);
         let q2 = if i % 2 == 0 {
@@ -208,19 +209,31 @@ fn batched_verdicts_match_unbatched_across_threads() {
             random_query(&mut rng, &schema, &params)
         };
         let sem = [Semantics::Set, Semantics::Bag, Semantics::BagSet][i % 3];
-        pairs.push(EquivRequest { sem, q1, q2 });
+        expected.push(sigma_equivalent(sem, &q1, &q2, &sigma, &schema, &config));
+        pairs.push(Request::Equivalent { q1, q2, opts: RequestOpts::with_sem(sem) });
     }
-    let expected: Vec<EquivOutcome> = pairs
-        .iter()
-        .map(|p| sigma_equivalent(p.sem, &p.q1, &p.q2, &sigma, &schema, &config))
-        .collect();
     let cache = Arc::new(ChaseCache::default());
     for threads in [1, 4, 8] {
-        let session = BatchSession::new(sigma.clone(), schema.clone(), config)
-            .with_cache(Arc::clone(&cache))
-            .with_threads(threads);
-        let outcome = session.run(&pairs);
-        assert_eq!(outcome.verdicts, expected, "threads={threads}");
+        let solver = Solver::builder(sigma.clone(), schema.clone())
+            .chase_config(config)
+            .counterexamples(false)
+            .cache(Arc::clone(&cache))
+            .threads(threads)
+            .build();
+        let verdicts: Vec<EquivOutcome> = solver
+            .decide_all(&pairs)
+            .verdicts
+            .into_iter()
+            .map(|v| match v {
+                Ok(v) => match v.answer {
+                    Answer::Equivalent { .. } => EquivOutcome::Equivalent,
+                    Answer::NotEquivalent { .. } => EquivOutcome::NotEquivalent,
+                    other => panic!("equivalence request answered with {other:?}"),
+                },
+                Err(e) => EquivOutcome::Unknown(e.as_chase_error().expect("a chase-level error")),
+            })
+            .collect();
+        assert_eq!(verdicts, expected, "threads={threads}");
     }
     // The second and third sessions ran fully warm.
     let stats = cache.stats();
@@ -236,7 +249,7 @@ fn batched_verdicts_match_unbatched_across_threads() {
 /// without persistence, but comes back as a disk hit (misses stay at four)
 /// with it.
 fn solver_eviction_accounting(persist: Option<eqsql_service::PersistConfig>) {
-    use eqsql_service::{CacheConfig, Request, RequestOpts, Solver};
+    use eqsql_service::CacheConfig;
     let persistent = persist.is_some();
     let sigma = parse_dependencies("a(X) -> b(X).").unwrap();
     let schema = Schema::all_bags(&[("a", 1), ("b", 1), ("c", 1)]);
